@@ -149,6 +149,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     scn = _load_scenario(args)
     if scn.sweep is None:
         raise ValueError("scenario has no [sweep] section")

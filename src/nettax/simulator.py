@@ -17,6 +17,7 @@ numbers when they share the index.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -87,6 +88,9 @@ class SimConfig:
     max_handover_rounds: int | None = None
 
     def __post_init__(self):
+        for name in ("horizon", "warmup"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.class_a.alpha > self.class_b.alpha:
             raise ValueError(
                 "class A must be the more tax-sensitive one "
@@ -98,6 +102,10 @@ class SimConfig:
             )
         if self.handover_hysteresis < 0:
             raise ValueError("handover_hysteresis must be >= 0")
+        if self.max_handover_rounds is not None and self.max_handover_rounds < 1:
+            raise ValueError(
+                f"max_handover_rounds must be >= 1, got {self.max_handover_rounds}"
+            )
 
     def profile(self, cls: str) -> ClassProfile:
         return self.class_a if cls == CLASS_A else self.class_b
@@ -115,14 +123,16 @@ class SystemState:
     """Active sessions and the per-network, per-class carried throughput.
 
     Carried loads are always eps * (session count), recomputed from the
-    integer counts so no floating-point drift can accumulate.
+    integer counts so no floating-point drift can accumulate. ``groups``
+    holds the ascending session ids of each (network, class) group, so
+    ``counts[g] == len(groups[g])``.
     """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.clock = 0.0
         self.sessions: dict[int, list] = {}  # sid -> [cls, network]
         self.counts = {(1, CLASS_A): 0, (1, CLASS_B): 0, (2, CLASS_A): 0, (2, CLASS_B): 0}
+        self.groups: dict[tuple[int, str], list[int]] = {g: [] for g in self.counts}
 
     def carried(self, p: int) -> float:
         return (
@@ -144,10 +154,13 @@ class SystemState:
     def admit(self, sid: int, cls: str, p: int) -> None:
         self.sessions[sid] = [cls, p]
         self.counts[(p, cls)] += 1
+        bisect.insort(self.groups[(p, cls)], sid)
 
     def remove(self, sid: int) -> tuple[str, int]:
         cls, p = self.sessions.pop(sid)
         self.counts[(p, cls)] -= 1
+        group = self.groups[(p, cls)]
+        del group[bisect.bisect_left(group, sid)]
         return cls, p
 
     def move(self, sid: int, q: int) -> None:
@@ -155,6 +168,9 @@ class SystemState:
         self.counts[(p, cls)] -= 1
         self.counts[(q, cls)] += 1
         self.sessions[sid][1] = q
+        group = self.groups[(p, cls)]
+        del group[bisect.bisect_left(group, sid)]
+        bisect.insort(self.groups[(q, cls)], sid)
 
 
 def current_tax(policy: TaxPolicy, state: SystemState, cfg: SimConfig) -> TaxVector:
@@ -218,8 +234,23 @@ def _wants_switch(
 def handover_relaxation(
     state: SystemState, taxes: TaxVector, cfg: SimConfig
 ) -> tuple[int, bool]:
-    """Sequential best-response sweeps (ascending session id) until a full
+    """Sequential best-response sweeps in ascending session id until a
     sweep makes no switch or the round cap is hit.
+
+    One sweep moves, in ascending sid, every session that wants to switch
+    when its turn comes. Whether a session wants to switch depends only on
+    its (network, class) group, and the state changes only when a session
+    moves. So a sweep is a cursor walk over ``state.groups``: ask each
+    non-empty group whether it wants to switch, move the lowest sid above
+    the cursor among those that do, set the cursor to that sid, and repeat
+    until no group yields one. The sessions it jumps over sit in groups
+    that do not want to switch, and a session moved earlier in the sweep
+    now lies at or below the cursor. This is the same sequence of moves as
+    visiting every session in ascending sid, which is the order of
+    ``state.sessions`` in ``run()``, where sids are handed out in
+    increasing order. When the last step of a sweep finds no group that
+    wants to switch at all, the next sweep would move no one, so the
+    relaxation returns without making it.
 
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
@@ -227,27 +258,30 @@ def handover_relaxation(
     cap = cfg.max_handover_rounds
     if cap is None:
         cap = 100 * max(1, len(state.sessions))
+    hysteresis = cfg.handover_hysteresis
+    groups = state.groups.items()
     total = 0
-    rounds = 0
-    while rounds < cap:
-        rounds += 1
-        # Cheap fixed-point test before walking the session list.
-        if not any(
-            state.counts[(p, cls)] > 0
-            and _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
-            for p in (1, 2)
-            for cls in (CLASS_A, CLASS_B)
-        ):
-            return total, True
+    for rounds in range(1, cap + 1):
         switched = 0
-        for sid in list(state.sessions):
-            cls, p = state.sessions[sid]
-            if _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis):
-                state.move(sid, 2 if p == 1 else 1)
-                switched += 1
+        cursor = -math.inf
+        while True:
+            nxt, wanting = None, False
+            for (p, cls), sids in groups:
+                if sids and _wants_switch(state, cls, p, taxes, hysteresis):
+                    wanting = True
+                    i = bisect.bisect_right(sids, cursor)
+                    if i < len(sids) and (nxt is None or sids[i] < nxt):
+                        nxt, q = sids[i], 2 if p == 1 else 1
+            if nxt is None:
+                break
+            state.move(nxt, q)
+            cursor = nxt
+            switched += 1
         total += switched
-        if switched == 0:
-            return total, True
+        if not wanting:
+            # The next sweep would move no one: a fixed point, unless this
+            # sweep moved someone and used up the round cap.
+            return total, switched == 0 or rounds < cap
     return total, False
 
 
@@ -306,11 +340,12 @@ def replication_seed(seed: int | str, index: int) -> str:
 def run(cfg: SimConfig) -> SimTrace:
     """Simulate one trajectory and integrate metrics event by event.
 
-    Taxes are recomputed at every event from the pre-event state and used
-    for the admission / handover decisions; the recorded sample carries the
-    tax recomputed from the post-event state, which is the one in force
-    until the next event. Time averages use exact piecewise-constant
-    integration over [warmup, horizon].
+    The tax in force is recomputed whenever an event changes the state.
+    Each event's admission / handover decisions use the pre-event tax; the
+    recorded sample carries the post-event tax, which is the one in force
+    until the next event and hence that event's pre-event tax. Time
+    averages use exact piecewise-constant integration over
+    [warmup, horizon].
     """
     rng = random.Random(str(cfg.seed))
     state = SystemState(cfg)
@@ -335,6 +370,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     poa = 1.0
     clock = 0.0
+    taxes = current_tax(cfg.policy, state, cfg)
     poa_integral = 0.0
 
     def advance(to: float) -> None:
@@ -352,9 +388,7 @@ def run(cfg: SimConfig) -> SimTrace:
             advance(cfg.horizon)
             break
         advance(t)
-        state.clock = t
 
-        taxes = current_tax(cfg.policy, state, cfg)
         changed = False
         if t_dep <= next_arrival[CLASS_A] and t_dep <= next_arrival[CLASS_B]:
             _, sid = heapq.heappop(departures)
@@ -385,18 +419,19 @@ def run(cfg: SimConfig) -> SimTrace:
                 event = "arr" + cls
                 changed = True
 
-        if cfg.handovers and changed:
-            _, converged = handover_relaxation(state, taxes, cfg)
-            if not converged:
-                warnings += 1
+        if changed:
+            if cfg.handovers:
+                _, converged = handover_relaxation(state, taxes, cfg)
+                if not converged:
+                    warnings += 1
+            taxes = current_tax(cfg.policy, state, cfg)
 
         load, cost, cost_opt, poa = metrics()
-        tau2_now = current_tax(cfg.policy, state, cfg).tau2
         samples.append(
             Sample(
                 t=t,
                 load=load,
-                tau2=tau2_now,
+                tau2=taxes.tau2,
                 cost=cost,
                 cost_opt=cost_opt,
                 poa=poa,

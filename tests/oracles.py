@@ -10,6 +10,9 @@ grids share one step, every lattice point's aggregate lies on the same
 aggregate; the scan below evaluates exactly the minimum the naive double
 loop would find (per aggregate, the violation only depends on whether
 each class sits at 0, at its full demand, or strictly between).
+
+``reference_relaxation`` is the plain handover relaxation: every sweep
+visits every session in ascending sid and asks it whether to switch.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nettax.simulator import _wants_switch
 
 
 def latency_curve(c: float, flows: np.ndarray) -> np.ndarray:
@@ -100,3 +105,32 @@ def wardrop_grid_oracle(
             best_v = v
             best_k = k
     return best_k * step, best_v
+
+
+def reference_relaxation(state, taxes, cfg) -> tuple[int, bool]:
+    """Best-response sweeps over all sessions in ascending sid, with the
+    same round cap and result as ``simulator.handover_relaxation``. Each
+    round first tests whether any occupied group wants to switch at all."""
+    cap = cfg.max_handover_rounds
+    if cap is None:
+        cap = 100 * max(1, len(state.sessions))
+    total = 0
+    rounds = 0
+    while rounds < cap:
+        rounds += 1
+        if not any(
+            state.counts[(p, cls)] > 0
+            and _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
+            for (p, cls) in state.counts
+        ):
+            return total, True
+        switched = 0
+        for sid in sorted(state.sessions):
+            cls, p = state.sessions[sid]
+            if _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis):
+                state.move(sid, 2 if p == 1 else 1)
+                switched += 1
+        total += switched
+        if switched == 0:
+            return total, True
+    return total, False

@@ -126,6 +126,22 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--out", "/no/such/dir/trace.csv"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("seed = 1", "seed = 1\nmax_handover_rounds = 0",
+             "max_handover_rounds must be >= 1, got 0"),
+            ("horizon = 200.0", "horizon = inf", "horizon must be finite, got inf"),
+        ],
+    )
+    def test_non_terminating_scenario_exit_2(self, tmp_path, capsys, old, new, named):
+        scn = tmp_path / "scn.ini"
+        scn.write_text(DEFAULT_SCENARIO.replace(old, new))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--scenario", str(scn), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -146,6 +162,13 @@ class TestSweepCommand:
         assert lines[0] == "load,policy,handover,mean_poa,se_poa,blocking_rate,replications"
         assert len(lines) == 7  # 1 load x 2 handover x 3 policies
         assert "blocking 0.01 crossing" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "summary.csv"
+        assert cli.main(["sweep", "--out", str(out), "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_sweep_section_exit_2(self, tmp_path, capsys):
         scn = tmp_path / "scn.ini"

@@ -1,0 +1,128 @@
+"""Handover relaxation: the indexed cursor walk against the plain walk.
+
+``handover_relaxation`` jumps from group to group over the per-group sid
+lists of ``SystemState``. ``reference_relaxation`` visits every session in
+ascending sid. On random states they must make the same moves, return the
+same result, and, when converged, leave no group that gains by switching.
+"""
+
+import itertools
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from nettax import simulator
+from nettax.analytics import NetworkPair, TaxVector
+from nettax.simulator import (
+    CLASS_A,
+    CLASS_B,
+    ClassProfile,
+    SimConfig,
+    SystemState,
+    TaxPolicy,
+    _wants_switch,
+    handover_relaxation,
+    run,
+)
+from oracles import reference_relaxation
+
+GROUPS = ((1, CLASS_A), (1, CLASS_B), (2, CLASS_A), (2, CLASS_B))
+
+
+def assert_groups_consistent(state: SystemState) -> None:
+    for group, sids in state.groups.items():
+        members = sorted(
+            sid for sid, (cls, p) in state.sessions.items() if (p, cls) == group
+        )
+        assert sids == members
+        assert len(sids) == state.counts[group]
+
+
+@st.composite
+def relaxation_cases(draw):
+    counts = [draw(st.integers(0, 12)) for _ in GROUPS]
+    # Groups interleave over the sids, which have gaps and are admitted in
+    # a random order.
+    labels = draw(st.permutations([g for g, n in zip(GROUPS, counts) for _ in range(n)]))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+    sessions = list(zip(itertools.accumulate(gaps), labels))
+    admission = draw(st.permutations(sessions))
+
+    eps = {CLASS_A: draw(st.floats(0.02, 1.0)), CLASS_B: draw(st.floats(0.02, 1.0))}
+    load = {1: 0.0, 2: 0.0}
+    for _, (p, cls) in sessions:
+        load[p] += eps[cls]
+    c1 = load[1] + draw(st.floats(0.05, 5.0))
+    c2 = max(c1, load[2]) + draw(st.floats(0.05, 5.0))
+    alpha_b = draw(st.floats(0.1, 3.0))
+    alpha_a = alpha_b + draw(st.floats(0.01, 3.0))
+    cfg = SimConfig(
+        net=NetworkPair(c1, c2),
+        class_a=ClassProfile(1.0, 1.0, eps[CLASS_A], alpha_a),
+        class_b=ClassProfile(1.0, 1.0, eps[CLASS_B], alpha_b),
+        handovers=True,
+        policy=TaxPolicy.OPTIMAL,
+        horizon=1.0,
+        handover_hysteresis=draw(st.sampled_from([0.0, 1e-6]) | st.floats(0.0, 0.2)),
+        max_handover_rounds=draw(st.sampled_from([None, 1, 2, 3])),
+    )
+    tax = st.just(0.0) | st.floats(0.0, 1.0)
+    taxes = TaxVector(draw(tax), draw(tax))
+    return cfg, admission, taxes
+
+
+def build_state(cfg: SimConfig, admission) -> SystemState:
+    state = SystemState(cfg)
+    for sid, (p, cls) in admission:
+        state.admit(sid, cls, p)
+    return state
+
+
+@given(case=relaxation_cases())
+@settings(max_examples=300, deadline=None)
+def test_indexed_relaxation_matches_reference_walk(case):
+    cfg, admission, taxes = case
+    state = build_state(cfg, admission)
+    expected_state = build_state(cfg, admission)
+    assert_groups_consistent(state)
+
+    result = handover_relaxation(state, taxes, cfg)
+    assert result == reference_relaxation(expected_state, taxes, cfg)
+    assert state.sessions == expected_state.sessions
+    assert state.counts == expected_state.counts
+    assert_groups_consistent(state)
+
+    switches, converged = result
+    event(f"converged={converged}")
+    if converged:
+        for (p, cls), n in state.counts.items():
+            if n:
+                assert not _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
+
+
+def test_group_lists_track_sessions_through_a_run(monkeypatch):
+    # Relaxation runs after every arrival and departure, so checking the
+    # state on the way in and out covers admit, remove and move.
+    calls = []
+
+    def checked(state, taxes, cfg):
+        assert_groups_consistent(state)
+        result = handover_relaxation(state, taxes, cfg)
+        assert_groups_consistent(state)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(simulator, "handover_relaxation", checked)
+    cfg = SimConfig(
+        net=NetworkPair(4.0, 11.0),
+        class_a=ClassProfile(11.0, 4.0, 0.064, 2.0),
+        class_b=ClassProfile(16.5, 2.5, 0.184, 1.0),
+        handovers=True,
+        policy=TaxPolicy.OPTIMAL,
+        horizon=20.0,
+        seed=3,
+    )
+    trace = run(cfg)
+    assert len(calls) > 1000
+    assert sum(s for s, _ in calls) > 0
+    assert trace.summary.relaxation_warnings == 0

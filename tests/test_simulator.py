@@ -63,6 +63,22 @@ def test_config_validation():
         ClassProfile(-1, 4, 0.064, 2)
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (dict(max_handover_rounds=0), "max_handover_rounds must be >= 1, got 0"),
+        (dict(max_handover_rounds=-2), "max_handover_rounds must be >= 1, got -2"),
+        (dict(horizon=math.inf), "horizon must be finite, got inf"),
+        (dict(horizon=math.nan), "horizon must be finite, got nan"),
+        (dict(warmup=math.inf), "warmup must be finite, got inf"),
+    ],
+)
+def test_config_rejects_non_terminating_values(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        base_config(**overrides)
+    base_config(max_handover_rounds=1)
+
+
 class TestCurrentTax:
     def test_none_policy(self):
         cfg = base_config()
