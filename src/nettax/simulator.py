@@ -164,13 +164,8 @@ class SystemState:
         return cls, p
 
     def move(self, sid: int, q: int) -> None:
-        cls, p = self.sessions[sid]
-        self.counts[(p, cls)] -= 1
-        self.counts[(q, cls)] += 1
-        self.sessions[sid][1] = q
-        group = self.groups[(p, cls)]
-        del group[bisect.bisect_left(group, sid)]
-        bisect.insort(self.groups[(q, cls)], sid)
+        cls, _ = self.remove(sid)
+        self.admit(sid, cls, q)
 
 
 def current_tax(policy: TaxPolicy, state: SystemState, cfg: SimConfig) -> TaxVector:
@@ -246,11 +241,9 @@ def handover_relaxation(
     until no group yields one. The sessions it jumps over sit in groups
     that do not want to switch, and a session moved earlier in the sweep
     now lies at or below the cursor. This is the same sequence of moves as
-    visiting every session in ascending sid, which is the order of
-    ``state.sessions`` in ``run()``, where sids are handed out in
-    increasing order. When the last step of a sweep finds no group that
-    wants to switch at all, the next sweep would move no one, so the
-    relaxation returns without making it.
+    visiting every session in ascending sid. When the last step of a sweep
+    finds no group that wants to switch at all, the next sweep would move
+    no one, so the relaxation returns without making it.
 
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
