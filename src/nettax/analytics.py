@@ -13,7 +13,7 @@ optimal for a two-class population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INF = math.inf
 
@@ -31,12 +31,17 @@ class NetworkPair:
 
     c1: float
     c2: float
+    # Set once here: the simulator asks for the threshold at every event.
+    _tax_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.c2 > self.c1 > 0):
             raise ValueError(
                 f"requires c2 > c1 > 0, got c1={self.c1}, c2={self.c2}"
             )
+        object.__setattr__(
+            self, "_tax_threshold", self.c2 - math.sqrt(self.c1 * self.c2)
+        )
 
     @property
     def total(self) -> float:
@@ -44,7 +49,7 @@ class NetworkPair:
 
     def tax_threshold(self) -> float:
         """Demand level below which the selfish split is already optimal."""
-        return self.c2 - math.sqrt(self.c1 * self.c2)
+        return self._tax_threshold
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,8 @@ def delay(c: float, f: float) -> float:
     return 1.0 / (c - f)
 
 
-def _link_cost(c: float, f: float) -> float:
+def link_cost(c: float, f: float) -> float:
+    """Total delay f * l(f) of one link carrying flow f."""
     # 0 * inf == 0: a saturated link carrying no flow contributes nothing.
     if f == 0:
         return 0.0
@@ -135,7 +141,7 @@ def _link_cost(c: float, f: float) -> float:
 
 def total_cost(net: NetworkPair, f: FlowAssignment) -> float:
     """Total delay f1*l1(f1) + f2*l2(f2) experienced across both links."""
-    return _link_cost(net.c1, f.f1) + _link_cost(net.c2, f.f2)
+    return link_cost(net.c1, f.f1) + link_cost(net.c2, f.f2)
 
 
 def _check_demand(net: NetworkPair, demand_total: float) -> None:

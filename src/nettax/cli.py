@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid parameters, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analytics, equilibrium, scenario, simulator
@@ -117,20 +118,7 @@ def _load_scenario(args) -> scenario.Scenario:
     else:
         scn = scenario.parse_scenario(scenario.DEFAULT_SCENARIO)
     if args.seed is not None:
-        sim = scn.sim
-        sim = simulator.SimConfig(
-            net=sim.net,
-            class_a=sim.class_a,
-            class_b=sim.class_b,
-            handovers=sim.handovers,
-            policy=sim.policy,
-            horizon=sim.horizon,
-            warmup=sim.warmup,
-            seed=args.seed,
-            handover_hysteresis=sim.handover_hysteresis,
-            max_handover_rounds=sim.max_handover_rounds,
-        )
-        scn = scenario.Scenario(sim=sim, sweep=scn.sweep)
+        scn = dataclasses.replace(scn, sim=dataclasses.replace(scn.sim, seed=args.seed))
     return scn
 
 

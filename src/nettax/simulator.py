@@ -21,20 +21,20 @@ import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .analytics import (
     Demand,
-    FlowAssignment,
     NetworkPair,
     Sensitivities,
     TaxVector,
     delay,
+    link_cost,
     optimal_assignment,
     optimal_cost,
     tax_rate,
-    total_cost,
 )
 
 CLASS_A = "A"
@@ -122,8 +122,11 @@ class SimConfig:
 class SystemState:
     """Active sessions and the per-network, per-class carried throughput.
 
-    Carried loads are always eps * (session count), recomputed from the
-    integer counts so no floating-point drift can accumulate. ``groups``
+    ``loads[p]`` is the throughput carried by network p. It is stored, and
+    ``admit`` and ``remove`` refresh it for the network they touch from the
+    integer counts as n_pA * eps_A + n_pB * eps_B, so it has the same bits
+    as recomputing it and no floating-point drift can accumulate.
+    ``profiles`` maps each class to its (throughput, alpha). ``groups``
     holds the ascending session ids of each (network, class) group, so
     ``counts[g] == len(groups[g])``.
     """
@@ -133,34 +136,38 @@ class SystemState:
         self.sessions: dict[int, list] = {}  # sid -> [cls, network]
         self.counts = {(1, CLASS_A): 0, (1, CLASS_B): 0, (2, CLASS_A): 0, (2, CLASS_B): 0}
         self.groups: dict[tuple[int, str], list[int]] = {g: [] for g in self.counts}
+        self.profiles = {
+            c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
+        }
+        self.loads = {1: 0.0, 2: 0.0}
 
     def carried(self, p: int) -> float:
-        return (
-            self.counts[(p, CLASS_A)] * self.cfg.class_a.throughput
-            + self.counts[(p, CLASS_B)] * self.cfg.class_b.throughput
-        )
+        return self.loads[p]
 
     def total_load(self) -> float:
-        return self.carried(1) + self.carried(2)
+        return self.loads[1] + self.loads[2]
 
     def class_load(self, cls: str) -> float:
-        return (self.counts[(1, cls)] + self.counts[(2, cls)]) * self.cfg.profile(
-            cls
-        ).throughput
+        return (self.counts[(1, cls)] + self.counts[(2, cls)]) * self.profiles[cls][0]
 
-    def aggregate(self) -> FlowAssignment:
-        return FlowAssignment(self.carried(1), self.carried(2))
+    def _refresh(self, p: int) -> None:
+        self.loads[p] = (
+            self.counts[(p, CLASS_A)] * self.profiles[CLASS_A][0]
+            + self.counts[(p, CLASS_B)] * self.profiles[CLASS_B][0]
+        )
 
     def admit(self, sid: int, cls: str, p: int) -> None:
         self.sessions[sid] = [cls, p]
         self.counts[(p, cls)] += 1
         bisect.insort(self.groups[(p, cls)], sid)
+        self._refresh(p)
 
     def remove(self, sid: int) -> tuple[str, int]:
         cls, p = self.sessions.pop(sid)
         self.counts[(p, cls)] -= 1
         group = self.groups[(p, cls)]
         del group[bisect.bisect_left(group, sid)]
+        self._refresh(p)
         return cls, p
 
     def move(self, sid: int, q: int) -> None:
@@ -195,11 +202,10 @@ def choose_network(
 ) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
     when both are full. Ties go to network 2, the larger one."""
-    prof = state.cfg.profile(cls)
-    eps, alpha = prof.throughput, prof.alpha
+    eps, alpha = state.profiles[cls]
     best, best_cost = None, math.inf
     for p, cap, tau in ((2, net.c2, taxes.tau2), (1, net.c1, taxes.tau1)):
-        load = state.carried(p) + eps
+        load = state.loads[p] + eps
         if load >= cap:
             continue
         cost = delay(cap, load) + alpha * tau
@@ -214,15 +220,16 @@ def _wants_switch(
     # All sessions of the same (class, network) face identical costs, so
     # the switch decision is a per-group predicate, not a per-session one.
     net = state.cfg.net
-    prof = state.cfg.profile(cls)
+    eps, alpha = state.profiles[cls]
+    loads = state.loads
     q = 2 if p == 1 else 1
     cap_p, tau_p = (net.c1, taxes.tau1) if p == 1 else (net.c2, taxes.tau2)
     cap_q, tau_q = (net.c1, taxes.tau1) if q == 1 else (net.c2, taxes.tau2)
-    moved = state.carried(q) + prof.throughput
+    moved = loads[q] + eps
     if moved >= cap_q:
         return False
-    stay = delay(cap_p, state.carried(p)) + prof.alpha * tau_p
-    move = delay(cap_q, moved) + prof.alpha * tau_q
+    stay = delay(cap_p, loads[p]) + alpha * tau_p
+    move = delay(cap_q, moved) + alpha * tau_q
     return move < stay - hysteresis
 
 
@@ -278,9 +285,9 @@ def handover_relaxation(
     return total, False
 
 
-@dataclass(frozen=True)
-class Sample:
-    """State snapshot taken right after one event."""
+class Sample(NamedTuple):
+    """State snapshot taken right after one event. A tuple, so that a
+    sample costs one allocation."""
 
     t: float
     load: float
@@ -353,12 +360,14 @@ def run(cfg: SimConfig) -> SimTrace:
         lam = cfg.profile(cls).arrival_rate
         next_arrival[cls] = rng.expovariate(lam) if lam > 0 else math.inf
 
+    loads, counts, net = state.loads, state.counts, cfg.net
+
     def metrics() -> tuple[float, float, float, float]:
-        load = state.total_load()
+        load = loads[1] + loads[2]
         if load == 0:
             return 0.0, 0.0, 0.0, 1.0
-        cost = total_cost(cfg.net, state.aggregate())
-        cost_opt = optimal_cost(cfg.net, load)
+        cost = link_cost(net.c1, loads[1]) + link_cost(net.c2, loads[2])
+        cost_opt = optimal_cost(net, load)
         return load, cost, cost_opt, cost / cost_opt
 
     poa = 1.0
@@ -428,10 +437,10 @@ def run(cfg: SimConfig) -> SimTrace:
                 cost=cost,
                 cost_opt=cost_opt,
                 poa=poa,
-                n1a=state.counts[(1, CLASS_A)],
-                n1b=state.counts[(1, CLASS_B)],
-                n2a=state.counts[(2, CLASS_A)],
-                n2b=state.counts[(2, CLASS_B)],
+                n1a=counts[(1, CLASS_A)],
+                n1b=counts[(1, CLASS_B)],
+                n2a=counts[(2, CLASS_A)],
+                n2b=counts[(2, CLASS_B)],
                 event=event,
             )
         )
@@ -493,21 +502,13 @@ def replication_config(
     index: int,
 ) -> SimConfig:
     lam_a, lam_b = scale_arrival_rates(base, load, ratio)
-    return SimConfig(
-        net=base.net,
-        class_a=ClassProfile(
-            lam_a, base.class_a.mean_duration, base.class_a.throughput, base.class_a.alpha
-        ),
-        class_b=ClassProfile(
-            lam_b, base.class_b.mean_duration, base.class_b.throughput, base.class_b.alpha
-        ),
+    return replace(
+        base,
+        class_a=replace(base.class_a, arrival_rate=lam_a),
+        class_b=replace(base.class_b, arrival_rate=lam_b),
         handovers=handovers,
         policy=policy,
-        horizon=base.horizon,
-        warmup=base.warmup,
         seed=replication_seed(base.seed, index),
-        handover_hysteresis=base.handover_hysteresis,
-        max_handover_rounds=base.max_handover_rounds,
     )
 
 

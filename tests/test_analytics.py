@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,31 @@ class TestTaxThreshold:
         assert tax_threshold(NetworkPair(c, c * k * k)) == pytest.approx(
             c * k * (k - 1), rel=1e-9
         )
+
+    @given(c1=st.floats(0.01, 100), gap=st.floats(0.01, 100))
+    def test_stored_value_is_the_formula(self, c1, gap):
+        net = NetworkPair(c1, c1 + gap)
+        assert net.tax_threshold() == net.c2 - math.sqrt(net.c1 * net.c2)
+
+    def test_stored_value_stays_out_of_repr_eq_and_hash(self):
+        assert repr(NetworkPair(4.0, 11.0)) == "NetworkPair(c1=4.0, c2=11.0)"
+        other = NetworkPair(4.0, 11.0)
+        object.__setattr__(other, "_tax_threshold", -1.0)
+        assert other == NetworkPair(4.0, 11.0)
+        assert hash(other) == hash(NetworkPair(4.0, 11.0))
+        assert NetworkPair(4.0, 11.0) != NetworkPair(4.0, 12.0)
+
+    def test_pickle_keeps_the_stored_value(self):
+        # Sweeps pickle their configs to worker processes.
+        net = pickle.loads(pickle.dumps(NetworkPair(4.0, 11.0)))
+        assert net == NetworkPair(4.0, 11.0)
+        assert net.tax_threshold() == 11.0 - math.sqrt(44.0)
+
+    def test_replace_recomputes_the_stored_value(self):
+        net = dataclasses.replace(NetworkPair(4.0, 11.0), c2=16.0)
+        assert net.tax_threshold() == 8.0
+        with pytest.raises(ValueError):
+            dataclasses.replace(NET, _tax_threshold=0.0)
 
 
 class TestOptimalTax:

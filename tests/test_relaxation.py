@@ -4,6 +4,11 @@
 lists of ``SystemState``. ``reference_relaxation`` visits every session in
 ascending sid. On random states they must make the same moves, return the
 same result, and, when converged, leave no group that gains by switching.
+
+``SystemState`` also keeps the per-group sid lists and the carried loads
+up to date itself. ``CheckedState`` recomputes both from the sessions
+after every ``admit``, ``remove`` and ``move`` and requires them to agree
+exactly.
 """
 
 import itertools
@@ -36,6 +41,30 @@ def assert_groups_consistent(state: SystemState) -> None:
         )
         assert sids == members
         assert len(sids) == state.counts[group]
+    # The stored loads must have the bits of a recomputation from scratch.
+    eps = {CLASS_A: state.cfg.class_a.throughput, CLASS_B: state.cfg.class_b.throughput}
+    n = {g: len(sids) for g, sids in state.groups.items()}
+    for p in (1, 2):
+        fresh = n[(p, CLASS_A)] * eps[CLASS_A] + n[(p, CLASS_B)] * eps[CLASS_B]
+        assert state.carried(p) == fresh
+    assert state.total_load() == state.carried(1) + state.carried(2)
+    for cls in (CLASS_A, CLASS_B):
+        assert state.class_load(cls) == (n[(1, cls)] + n[(2, cls)]) * eps[cls]
+
+
+class CheckedState(SystemState):
+    def admit(self, sid, cls, p):
+        super().admit(sid, cls, p)
+        assert_groups_consistent(self)
+
+    def remove(self, sid):
+        result = super().remove(sid)
+        assert_groups_consistent(self)
+        return result
+
+    def move(self, sid, q):
+        super().move(sid, q)
+        assert_groups_consistent(self)
 
 
 @st.composite
@@ -71,8 +100,8 @@ def relaxation_cases(draw):
     return cfg, admission, taxes
 
 
-def build_state(cfg: SimConfig, admission) -> SystemState:
-    state = SystemState(cfg)
+def build_state(cfg: SimConfig, admission, state_type=SystemState) -> SystemState:
+    state = state_type(cfg)
     for sid, (p, cls) in admission:
         state.admit(sid, cls, p)
     return state
@@ -82,7 +111,7 @@ def build_state(cfg: SimConfig, admission) -> SystemState:
 @settings(max_examples=300, deadline=None)
 def test_indexed_relaxation_matches_reference_walk(case):
     cfg, admission, taxes = case
-    state = build_state(cfg, admission)
+    state = build_state(cfg, admission, CheckedState)
     expected_state = build_state(cfg, admission)
     assert_groups_consistent(state)
 
@@ -101,18 +130,18 @@ def test_indexed_relaxation_matches_reference_walk(case):
 
 
 def test_group_lists_track_sessions_through_a_run(monkeypatch):
-    # Relaxation runs after every arrival and departure, so checking the
-    # state on the way in and out covers admit, remove and move.
+    # CheckedState checks the state after every admit, remove and move of
+    # the run, the moves inside relaxation included.
+    monkeypatch.setattr(simulator, "SystemState", CheckedState)
     calls = []
 
-    def checked(state, taxes, cfg):
-        assert_groups_consistent(state)
+    def recorded(state, taxes, cfg):
+        assert isinstance(state, CheckedState)
         result = handover_relaxation(state, taxes, cfg)
-        assert_groups_consistent(state)
         calls.append(result)
         return result
 
-    monkeypatch.setattr(simulator, "handover_relaxation", checked)
+    monkeypatch.setattr(simulator, "handover_relaxation", recorded)
     cfg = SimConfig(
         net=NetworkPair(4.0, 11.0),
         class_a=ClassProfile(11.0, 4.0, 0.064, 2.0),

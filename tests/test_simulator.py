@@ -235,6 +235,14 @@ class TestRun:
         cfg = base_config(policy=TaxPolicy.OPTIMAL)
         assert run(cfg).samples == run(cfg).samples
 
+    def test_samples_are_tuples_with_named_fields(self):
+        s = run(base_config(horizon=20.0, warmup=2.0)).samples[0]
+        fields = ("t", "load", "tau2", "cost", "cost_opt", "poa",
+                  "n1a", "n1b", "n2a", "n2b", "event")
+        assert tuple(s) == tuple(getattr(s, f) for f in fields)
+        assert repr(s) == "Sample(" + ", ".join(
+            f"{f}={getattr(s, f)!r}" for f in fields) + ")"
+
     @pytest.mark.parametrize("policy", list(TaxPolicy))
     @pytest.mark.parametrize("handovers", [True, False])
     def test_invariants(self, policy, handovers):
@@ -276,6 +284,23 @@ class TestSweep:
             + lam_b * base.class_b.mean_duration * base.class_b.throughput
         )
         assert d_bar / NET.total == pytest.approx(0.5)
+
+    def test_replication_config_sets_rates_cell_and_seed_only(self):
+        base = base_config(handover_hysteresis=0.01, max_handover_rounds=5)
+        cfg = replication_config(base, 0.5, 1.5, TaxPolicy.APPROX, False, 3)
+        lam_a, lam_b = scale_arrival_rates(base, 0.5, 1.5)
+        assert cfg == SimConfig(
+            net=NET,
+            class_a=ClassProfile(lam_a, 4.0, 0.064, 2.0),
+            class_b=ClassProfile(lam_b, 2.5, 0.184, 1.0),
+            handovers=False,
+            policy=TaxPolicy.APPROX,
+            horizon=60.0,
+            warmup=10.0,
+            seed="12345:3",
+            handover_hysteresis=0.01,
+            max_handover_rounds=5,
+        )
 
     def test_sweep_rows_and_csv(self, tmp_path):
         base = base_config(horizon=30.0, warmup=5.0)
