@@ -13,7 +13,6 @@ from .analytics import (
     optimal_assignment,
     optimal_cost,
     optimal_tax,
-    tax_threshold,
     total_cost,
     wardrop_no_tax,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "optimal_tax",
     "run",
     "sweep_load",
-    "tax_threshold",
     "taxed_equilibrium",
     "total_cost",
     "verify_proposition1",

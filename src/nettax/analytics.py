@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 
 INF = math.inf
 
-# Absolute tolerance for floating-point feasibility checks.
-DEFAULT_TOL = 1e-9
-
 
 class DemandExceedsCapacity(ValueError):
     """Total demand at or above the combined capacity of both networks."""
@@ -96,9 +93,6 @@ class FlowAssignment:
         if self.f1 < 0 or self.f2 < 0:
             raise ValueError(f"flows must be >= 0, got {self.f1}, {self.f2}")
 
-    def is_feasible_for(self, demand_total: float, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.f1 + self.f2 - demand_total) <= tol * max(1.0, demand_total)
-
 
 @dataclass(frozen=True)
 class TaxVector:
@@ -163,18 +157,21 @@ def wardrop_no_tax(net: NetworkPair, demand_total: float) -> FlowAssignment:
     return FlowAssignment(f1, f2)
 
 
-def optimal_assignment(net: NetworkPair, demand_total: float) -> FlowAssignment:
-    """Unique split minimizing total delay over the feasible simplex."""
-    _check_demand(net, demand_total)
+def _optimal_split(net: NetworkPair, demand_total: float) -> tuple[float, float]:
+    """Optimal (f1, f2) for a demand the caller has already checked."""
     if demand_total <= net.tax_threshold():
-        return FlowAssignment(0.0, demand_total)
+        return 0.0, demand_total
     r1, r2 = math.sqrt(net.c1), math.sqrt(net.c2)
     f1 = ((demand_total - net.c2) * r1 + net.c1 * r2) / (r1 + r2)
     f2 = ((demand_total - net.c1) * r2 + net.c2 * r1) / (r1 + r2)
     # Clamp roundoff just above the branch boundary.
-    f1 = max(0.0, f1)
-    f2 = min(f2, demand_total)
-    return FlowAssignment(f1, f2)
+    return max(0.0, f1), min(f2, demand_total)
+
+
+def optimal_assignment(net: NetworkPair, demand_total: float) -> FlowAssignment:
+    """Unique split minimizing total delay over the feasible simplex."""
+    _check_demand(net, demand_total)
+    return FlowAssignment(*_optimal_split(net, demand_total))
 
 
 def optimal_cost(net: NetworkPair, demand_total: float) -> float:
@@ -190,32 +187,30 @@ def optimal_cost(net: NetworkPair, demand_total: float) -> float:
     )
 
 
-def tax_threshold(net: NetworkPair) -> float:
-    return net.tax_threshold()
+def _tau2(
+    net: NetworkPair, demand_total: float, d_b: float, alpha_a: float, alpha_b: float
+) -> tuple[float, float | None]:
+    """Optimal tax on network 2 and the alpha of the class marginal there
+    (None below the threshold), for a demand the caller has checked.
 
-
-def tax_rate(net: NetworkPair, demand_total: float, alpha: float) -> float:
-    """Tax on network 2 aligning selfish choices of an alpha-sensitive
-    marginal class with the optimal split; 0 at or below the threshold."""
-    _check_demand(net, demand_total)
+    The magnitude depends only on the total demand. The branch compares
+    d_b with the optimal f2; the tie uses class A. d_b may exceed the
+    total: APPROX passes the offered class-B load.
+    """
     if demand_total <= net.tax_threshold():
-        return 0.0
-    return (net.c2 - net.c1) / (
+        return 0.0, None
+    alpha = alpha_a if d_b <= _optimal_split(net, demand_total)[1] else alpha_b
+    tau2 = (net.c2 - net.c1) / (
         alpha * math.sqrt(net.c1 * net.c2) * (net.c1 + net.c2 - demand_total)
     )
+    return tau2, alpha
 
 
 def optimal_tax(net: NetworkPair, dem: Demand, sens: Sensitivities) -> TaxVector:
-    """Tax vector (0, tau2) driving the two-class equilibrium to the optimum.
-
-    The magnitude depends only on the total demand; only the branch (which
-    class ends up marginal on network 2) needs the class-B demand, through
-    the sign of d_b - f2_opt. The tie d_b == f2_opt uses the class-A branch.
-    """
+    """Tax vector (0, tau2) driving the two-class equilibrium to the optimum:
+    0 at or below the threshold, else the tax that aligns the selfish
+    choice of the class marginal on network 2 with the optimal split."""
     demand_total = dem.total()
     _check_demand(net, demand_total)
-    if demand_total <= net.tax_threshold():
-        return TaxVector(0.0, 0.0)
-    f2_opt = optimal_assignment(net, demand_total).f2
-    alpha = sens.alpha_a if dem.d_b <= f2_opt else sens.alpha_b
-    return TaxVector(0.0, tax_rate(net, demand_total, alpha))
+    tau2, _ = _tau2(net, demand_total, dem.d_b, sens.alpha_a, sens.alpha_b)
+    return TaxVector(0.0, tau2)

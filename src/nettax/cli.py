@@ -64,13 +64,12 @@ def _cmd_analyze(args) -> int:
         if args.db > demand_total:
             raise ValueError(f"--db {args.db} exceeds total demand {demand_total}")
         dem = Demand(demand_total - args.db, args.db)
-        taxes = analytics.optimal_tax(net, dem, sens)
-        if taxes.tau2 == 0:
-            branch = "none"
-        else:
-            branch = "alpha_A" if args.db <= f_opt.f2 else "alpha_B"
-        lines.append(("tau2", _fmt(taxes.tau2)))
-        lines.append(("tau2_branch", branch))
+        tau2, alpha = analytics._tau2(
+            net, dem.total(), dem.d_b, sens.alpha_a, sens.alpha_b
+        )
+        branch = {None: "none", sens.alpha_a: "alpha_A", sens.alpha_b: "alpha_B"}
+        lines.append(("tau2", _fmt(tau2)))
+        lines.append(("tau2_branch", branch[alpha]))
         ok, (df1, df2) = equilibrium.verify_proposition1(net, dem, sens, tol=1e-6)
         lines.append(("equilibrium_check", "PASS" if ok else "FAIL"))
         lines.append(("flow_discrepancy_1", _fmt(df1)))
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, scenario.ScenarioError) as exc:
+    except (ValueError, scenario.ScenarioError, equilibrium.NoEquilibriumFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

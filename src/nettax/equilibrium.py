@@ -12,7 +12,10 @@ levels t_i = alpha_i * (tau2 - tau1). The solver enumerates the candidate
 support patterns in a fixed order (the more price-averse class migrates to
 the cheaper-taxed link first) and returns the first one that satisfies the
 equilibrium inequalities; g(f1) = t has a closed-form root, so no
-iteration is needed except in a defensive bisection fallback.
+iteration is needed. Near saturation the latencies 1/(c - f) are so
+ill-conditioned that rounding in the closed-form root exceeds the 1e-9
+tolerance; there the solver falls back to bisecting g at a 1e-6
+tolerance. If that fails too, it raises NoEquilibriumFound.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 from .analytics import (
     Demand,
-    FlowAssignment,
     NetworkPair,
     Sensitivities,
     TaxVector,
@@ -38,8 +40,8 @@ NAN = float("nan")
 
 
 class NoEquilibriumFound(RuntimeError):
-    """No candidate support validated: a solver bug, not a model state
-    (an equilibrium always exists for this game)."""
+    """No split validated, not even the fallback's: so near saturation that
+    rounding in 1/(c - f) exceeds 1e-6. An equilibrium still exists."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,6 @@ class ClassFlowSplit:
     @property
     def f2(self) -> float:
         return self.f2_a + self.f2_b
-
-    def aggregate(self) -> FlowAssignment:
-        return FlowAssignment(self.f1, self.f2)
-
-    def class_totals(self) -> tuple[float, float]:
-        return (self.f1_a + self.f2_a, self.f1_b + self.f2_b)
 
 
 @dataclass(frozen=True)
@@ -107,37 +103,19 @@ def _solve_gap(net: NetworkPair, demand_total: float, t: float) -> float:
     """Aggregate f1 with l1(f1) - l2(D - f1) = t, in closed form.
 
     With a = c1 - f1 and s = c1 + c2 - D the condition is the quadratic
-    t*a^2 - (t*s + 2)*a + s = 0 whose root in (0, s) is written in the
-    subtraction-free form below (exact at t = 0).
+    t*a^2 - (t*s + 2)*a + s = 0. Its root in (0, s) is
+    2s / ((u + 2) + sqrt(u^2 + 4)) with u = t*s, exact at t = 0; below
+    u = -2 that sum cancels, so there the same root is written as
+    ((u + 2) - sqrt(u^2 + 4)) / (2t), which adds two negative terms.
     """
     s = net.c1 + net.c2 - demand_total
     u = t * s
-    a = 2.0 * s / ((u + 2.0) + math.sqrt(u * u + 4.0))
+    if u < -2.0:
+        a = ((u + 2.0) - math.sqrt(u * u + 4.0)) / (2.0 * t)
+    else:
+        a = 2.0 * s / ((u + 2.0) + math.sqrt(u * u + 4.0))
     f1 = net.c1 - a
     return min(max(f1, 0.0), demand_total)
-
-
-def _residual(
-    net: NetworkPair,
-    sens: Sensitivities,
-    taxes: TaxVector,
-    split: ClassFlowSplit,
-    support_tol: float,
-) -> float:
-    l1 = delay(net.c1, split.f1)
-    l2 = delay(net.c2, split.f2)
-    worst = 0.0
-    for flows, alpha in (
-        ((split.f1_a, split.f2_a), sens.alpha_a),
-        ((split.f1_b, split.f2_b), sens.alpha_b),
-    ):
-        cost1 = l1 + alpha * taxes.tau1
-        cost2 = l2 + alpha * taxes.tau2
-        if flows[0] > support_tol:
-            worst = max(worst, cost1 - cost2)
-        if flows[1] > support_tol:
-            worst = max(worst, cost2 - cost1)
-    return max(worst, 0.0)
 
 
 def _report(
@@ -149,13 +127,24 @@ def _report(
 ) -> EquilibriumReport:
     l1 = delay(net.c1, split.f1)
     l2 = delay(net.c2, split.f2)
-    return EquilibriumReport(
-        split=split,
-        latencies=(l1, l2),
-        cost_a=(l1 + sens.alpha_a * taxes.tau1, l2 + sens.alpha_a * taxes.tau2),
-        cost_b=(l1 + sens.alpha_b * taxes.tau1, l2 + sens.alpha_b * taxes.tau2),
-        residual=_residual(net, sens, taxes, split, support_tol),
-    )
+    cost_a = (l1 + sens.alpha_a * taxes.tau1, l2 + sens.alpha_a * taxes.tau2)
+    cost_b = (l1 + sens.alpha_b * taxes.tau1, l2 + sens.alpha_b * taxes.tau2)
+    residual = 0.0
+    for (flow1, flow2), (cost1, cost2) in (
+        ((split.f1_a, split.f2_a), cost_a),
+        ((split.f1_b, split.f2_b), cost_b),
+    ):
+        if flow1 > support_tol:
+            residual = max(residual, cost1 - cost2)
+        if flow2 > support_tol:
+            residual = max(residual, cost2 - cost1)
+    return EquilibriumReport(split, (l1, l2), cost_a, cost_b, residual)
+
+
+def _validates(rep: EquilibriumReport, tol: float) -> bool:
+    """Residual within tol, scaled by the largest finite latency."""
+    scale = max(1.0, *(v for v in rep.latencies if math.isfinite(v)))
+    return rep.residual <= tol * scale
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -215,7 +204,8 @@ def _candidate_splits(
 
 
 def _bisect_gap(net: NetworkPair, demand_total: float, t: float) -> float:
-    # Defensive fallback; the closed-form root normally never fails.
+    # Fallback near saturation, where the closed-form root's rounding
+    # exceeds the 1e-9 tolerance; e.g. D = 15 - 1e-7 on (c1, c2) = (4, 11).
     lo = max(0.0, demand_total - net.c2) + 1e-15
     hi = min(demand_total, net.c1) - 1e-15
     for _ in range(200):
@@ -264,16 +254,15 @@ def taxed_equilibrium(
 
     t_a = sens.alpha_a * dtau
     t_b = sens.alpha_b * dtau
-    best = None
+    best = math.inf
     for split in _candidate_splits(net, dem, t_a, t_b):
         rep = _report(net, sens, taxes, split, tol)
-        scale = max(1.0, *(v for v in rep.latencies if math.isfinite(v)))
-        if rep.residual <= tol * scale:
+        if _validates(rep, tol):
             return rep
-        if best is None or rep.residual < best.residual:
-            best = rep
+        best = min(best, rep.residual)
 
-    # Iterative fallback (ties / pathological roundoff), tolerance 1e-6.
+    # Near saturation: bisect the latency gap, at a tolerance of 1e-6.
+    fallback_tol = max(tol, 1e-6)
     for t in (t_a, t_b):
         f1 = _bisect_gap(net, demand_total, t)
         f1_a = _clip(f1, max(0.0, f1 - dem.d_b), min(dem.d_a, f1))
@@ -283,13 +272,14 @@ def taxed_equilibrium(
             f2_a=max(dem.d_a - f1_a, 0.0),
             f2_b=max(dem.d_b - (f1 - f1_a), 0.0),
         )
-        rep = _report(net, sens, taxes, split, max(tol, 1e-6))
-        scale = max(1.0, *(v for v in rep.latencies if math.isfinite(v)))
-        if rep.residual <= max(tol, 1e-6) * scale:
+        rep = _report(net, sens, taxes, split, fallback_tol)
+        if _validates(rep, fallback_tol):
             return rep
 
     raise NoEquilibriumFound(
-        f"no support pattern validated (best residual {best.residual if best else NAN})"
+        f"no equilibrium validated at demand {demand_total!r} "
+        f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
+        f"{net.total!r}; best residual {best}"
     )
 
 

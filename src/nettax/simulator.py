@@ -26,15 +26,12 @@ from enum import Enum
 from typing import NamedTuple
 
 from .analytics import (
-    Demand,
     NetworkPair,
-    Sensitivities,
     TaxVector,
+    _tau2,
     delay,
     link_cost,
-    optimal_assignment,
     optimal_cost,
-    tax_rate,
 )
 
 CLASS_A = "A"
@@ -111,10 +108,6 @@ class SimConfig:
         return self.class_a if cls == CLASS_A else self.class_b
 
     @property
-    def sensitivities(self) -> Sensitivities:
-        return Sensitivities(self.class_a.alpha, self.class_b.alpha)
-
-    @property
     def offered_load(self) -> float:
         return self.class_a.offered_load + self.class_b.offered_load
 
@@ -140,9 +133,6 @@ class SystemState:
             c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
         }
         self.loads = {1: 0.0, 2: 0.0}
-
-    def carried(self, p: int) -> float:
-        return self.loads[p]
 
     def total_load(self) -> float:
         return self.loads[1] + self.loads[2]
@@ -180,21 +170,17 @@ def current_tax(policy: TaxPolicy, state: SystemState, cfg: SimConfig) -> TaxVec
 
     OPTIMAL reads the true class-B carried load to pick the branch; APPROX
     substitutes the long-run average class-B load eps_B * lambda_B / mu_B.
-    The magnitude only ever depends on the total load.
+    The magnitude only ever depends on the total load, which ``run()``
+    keeps below each network's capacity, so the demand is not checked.
     """
     if policy is TaxPolicy.NONE:
-        return TaxVector(0.0, 0.0)
-    demand_total = state.total_load()
-    net = cfg.net
-    if demand_total <= net.tax_threshold():
         return TaxVector(0.0, 0.0)
     if policy is TaxPolicy.OPTIMAL:
         d_b = state.class_load(CLASS_B)
     else:
         d_b = cfg.class_b.offered_load
-    f2_opt = optimal_assignment(net, demand_total).f2
-    alpha = cfg.class_a.alpha if d_b <= f2_opt else cfg.class_b.alpha
-    return TaxVector(0.0, tax_rate(net, demand_total, alpha))
+    tau2, _ = _tau2(cfg.net, state.total_load(), d_b, cfg.class_a.alpha, cfg.class_b.alpha)
+    return TaxVector(0.0, tau2)
 
 
 def choose_network(

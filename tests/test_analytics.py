@@ -17,7 +17,6 @@ from nettax.analytics import (
     optimal_assignment,
     optimal_cost,
     optimal_tax,
-    tax_threshold,
     total_cost,
     wardrop_no_tax,
 )
@@ -43,8 +42,6 @@ def test_type_invariants():
         FlowAssignment(-0.1, 1)
     with pytest.raises(ValueError):
         TaxVector(-0.1, 0)
-    assert FlowAssignment(3, 5).is_feasible_for(8.0)
-    assert not FlowAssignment(3, 5).is_feasible_for(8.1)
 
 
 class TestDelay:
@@ -135,17 +132,17 @@ class TestOptimalCost:
 
 class TestTaxThreshold:
     def test_reference_value(self):
-        assert tax_threshold(NET) == pytest.approx(4.3666, abs=0.01)
+        assert NET.tax_threshold() == pytest.approx(4.3666, abs=0.01)
 
     def test_perfect_squares(self):
-        assert tax_threshold(NetworkPair(1, 4)) == pytest.approx(2.0)
+        assert NetworkPair(1, 4).tax_threshold() == pytest.approx(2.0)
 
     @given(
         c=st.floats(0.5, 20),
         k=st.floats(1.1, 4),
     )
     def test_scaled_square_identity(self, c, k):
-        assert tax_threshold(NetworkPair(c, c * k * k)) == pytest.approx(
+        assert NetworkPair(c, c * k * k).tax_threshold() == pytest.approx(
             c * k * (k - 1), rel=1e-9
         )
 

@@ -68,6 +68,21 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "below threshold 4.36675042" in out
 
+    @pytest.mark.parametrize(
+        "demand, db, branch",
+        [("8", "1", "alpha_A"), ("8", "7", "alpha_B"), ("3", "1", "none")],
+    )
+    def test_tau2_branch(self, capsys, demand, db, branch):
+        code = cli.main(
+            ["analyze", "--c1", "4", "--c2", "11", "--demand", demand,
+             "--alphas", "2,1", "--db", db]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = dict(line.split(None, 1) for line in out.splitlines())
+        assert lines["tau2_branch"] == branch
+        assert (lines["tau2"] == "0") == (branch == "none")
+
     def test_invalid_capacities_exit_2(self, capsys):
         code = cli.main(
             ["analyze", "--c1", "11", "--c2", "4", "--demand", "8", "--alphas", "2,1"]
@@ -87,6 +102,19 @@ class TestAnalyzeCommand:
         )
         assert float(rows["C_opt"]) == pytest.approx(2.038071, abs=1e-5)
 
+    def test_no_equilibrium_near_saturation_exit_2(self, capsys):
+        code = cli.main(
+            ["analyze", "--c1", "4", "--c2", "11", "--demand", "14.9999999999",
+             "--alphas", "2,1", "--db", "1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: no equilibrium validated at demand 14.9999999999 "
+        )
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestFig2Command:
     def test_curves(self, tmp_path, capsys):
@@ -105,6 +133,16 @@ class TestFig2Command:
         assert math.isnan(float(last[2]))  # no class-B users at share 1
         for line in lines[1:]:
             assert float(line.split(",")[3]) == pytest.approx(0.285714, abs=1e-6)
+
+    def test_no_equilibrium_near_saturation_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        code = cli.main(
+            ["fig2", "--c1", "4", "--c2", "11", "--demand", "14.99999999999",
+             "--alphas", "2,1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "demand 14.99999999999" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from nettax import equilibrium
 from nettax.analytics import (
     Demand,
     NetworkPair,
@@ -15,6 +18,9 @@ from nettax.analytics import (
 )
 from nettax.equilibrium import (
     ClassFlowSplit,
+    _candidate_splits,
+    _report,
+    _validates,
     class_latencies,
     taxed_equilibrium,
     verify_proposition1,
@@ -30,7 +36,7 @@ def test_class_flow_split_helpers():
     split = ClassFlowSplit(1, 0.5, 2, 3.5)
     assert split.f1 == 1.5
     assert split.f2 == 5.5
-    assert split.class_totals() == (3.0, 4.0)
+    assert (split.f1_a + split.f2_a, split.f1_b + split.f2_b) == (3.0, 4.0)
     with pytest.raises(ValueError):
         ClassFlowSplit(-1, 0, 0, 0)
 
@@ -82,6 +88,79 @@ class TestTaxedEquilibrium:
         rep = taxed_equilibrium(NET, Demand(3, 3), SENS, TaxVector(0.5, 0.0))
         assert rep.split.f1 == pytest.approx(0.0, abs=1e-9)
         assert rep.residual <= 1e-9
+
+    @pytest.mark.parametrize(
+        "dem, taxes",
+        [
+            # u = -6e4: the sum (u + 2) + sqrt(u^2 + 4) would cancel.
+            (Demand(12, 0), TaxVector(1e4, 0)),
+            # u = -6e-12: the difference (u + 2) - sqrt(u^2 + 4) would.
+            (Demand(1, 11), TaxVector(1e-12, 0)),
+        ],
+    )
+    def test_network1_tax_root_needs_no_fallback(self, monkeypatch, dem, taxes):
+        def no_fallback(*args):
+            raise AssertionError("fallback reached")
+
+        monkeypatch.setattr(equilibrium, "_bisect_gap", no_fallback)
+        assert _validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-9)
+
+
+class TestFallback:
+    def test_near_saturation_reaches_the_fallback(self, monkeypatch):
+        # 1e-7 below capacity, rounding in 1/(c - f) exceeds the 1e-9
+        # tolerance of every closed-form candidate.
+        calls = []
+        bisect_gap = equilibrium._bisect_gap
+
+        def counted(*args):
+            calls.append(args)
+            return bisect_gap(*args)
+
+        monkeypatch.setattr(equilibrium, "_bisect_gap", counted)
+        ok, diffs = verify_proposition1(NET, Demand(15 - 1e-7 - 1, 1), SENS)
+        assert ok, diffs
+        assert len(calls) == 1
+
+
+@st.composite
+def solver_instances(draw):
+    """A taxed game at most (1 - 1e-5) of the way to saturation, with
+    tau2 >= tau1, empty classes and demands within 1e-12 of c1, c2 and the
+    tax threshold, and tax differences down to 1e-13."""
+    c1 = draw(st.floats(0.1, 50))
+    net = NetworkPair(c1, c1 + draw(st.floats(0.01, 100)))
+    cap = (1 - 1e-5) * net.total
+    anchor = draw(st.sampled_from([None, net.c1, net.c2, net.tax_threshold()]))
+    if anchor is None:
+        demand = draw(st.floats(0, cap))
+    else:
+        demand = anchor + draw(st.floats(-1e-12, 1e-12))
+    d_b = demand * draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    dem = Demand(max(demand - d_b, 0.0), d_b)
+    assume(dem.total() <= cap)
+    alpha_b = draw(st.floats(0.01, 10))
+    sens = Sensitivities(alpha_b * draw(st.floats(1.001, 10)), alpha_b)
+    if draw(st.booleans()):
+        taxes = optimal_tax(net, dem, sens)
+    else:
+        tau1 = draw(st.sampled_from([0.0]) | st.floats(0, 10))
+        dtau = draw(st.floats(1e-13, 1e-7) | st.floats(0, 10))
+        taxes = TaxVector(tau1, tau1 + dtau)
+    return net, dem, sens, taxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_instances())
+def test_some_candidate_split_validates(instance):
+    # Away from saturation the closed-form supports are complete: the
+    # bisection fallback is never needed.
+    net, dem, sens, taxes = instance
+    dtau = taxes.tau2 - taxes.tau1
+    splits = _candidate_splits(net, dem, sens.alpha_a * dtau, sens.alpha_b * dtau)
+    assert any(
+        _validates(_report(net, sens, taxes, split, 1e-9), 1e-9) for split in splits
+    )
 
 
 class TestProposition1:

@@ -46,8 +46,8 @@ def assert_groups_consistent(state: SystemState) -> None:
     n = {g: len(sids) for g, sids in state.groups.items()}
     for p in (1, 2):
         fresh = n[(p, CLASS_A)] * eps[CLASS_A] + n[(p, CLASS_B)] * eps[CLASS_B]
-        assert state.carried(p) == fresh
-    assert state.total_load() == state.carried(1) + state.carried(2)
+        assert state.loads[p] == fresh
+    assert state.total_load() == state.loads[1] + state.loads[2]
     for cls in (CLASS_A, CLASS_B):
         assert state.class_load(cls) == (n[(1, cls)] + n[(2, cls)]) * eps[cls]
 

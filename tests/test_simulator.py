@@ -135,7 +135,7 @@ class TestChooseNetwork:
         )
         # network 2 carries 10.948 already; +0.184 would hit 11.132 >= 11
         state = state_with(cfg, n2b=59, n2a=1)
-        assert state.carried(2) == pytest.approx(10.956)
+        assert state.loads[2] == pytest.approx(10.956)
         assert choose_network(state, CLASS_B, TaxVector(0, 0), NET) == 1
 
     def test_blocked_when_both_full(self):
@@ -316,6 +316,14 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "load,policy,handover,mean_poa,se_poa,blocking_rate,replications"
         assert len(lines) == 13
+
+    def test_process_pool_rows_equal_serial_rows(self):
+        base = base_config(horizon=30.0, warmup=5.0)
+        kwargs = dict(loads=[0.3, 0.6], ratio=2 / 3, replications=2)
+        serial = sweep_load(base, max_workers=1, **kwargs)
+        pooled = sweep_load(base, max_workers=2, **kwargs)
+        # SweepRow equality compares every field, poa_values included.
+        assert pooled == serial
 
     def test_trace_csv_round_trip(self, tmp_path):
         cfg = base_config(policy=TaxPolicy.OPTIMAL, horizon=30.0, warmup=5.0)
