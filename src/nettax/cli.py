@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> int:
     s = trace.summary
     print(f"trace: {args.out} ({len(trace.samples)} events)")
     print(f"avg_poa {_fmt(s.avg_poa)}")
-    print(f"blocking_rate {_fmt(s.blocking_rate)}")
+    print(f"blocking_rate {_fmt(trace.blocking.rate)}")
     print(f"tax_threshold {_fmt(scn.sim.net.tax_threshold())}")
     if s.relaxation_warnings:
         print(f"relaxation_warnings {s.relaxation_warnings}")

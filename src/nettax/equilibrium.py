@@ -13,9 +13,9 @@ support patterns in a fixed order (the more price-averse class migrates to
 the cheaper-taxed link first) and returns the first one that satisfies the
 equilibrium inequalities; g(f1) = t has a closed-form root, so no
 iteration is needed. Near saturation the latencies 1/(c - f) are so
-ill-conditioned that rounding in the closed-form root exceeds the 1e-9
-tolerance; there the solver falls back to bisecting g at a 1e-6
-tolerance. If that fails too, it raises NoEquilibriumFound.
+ill-conditioned that rounding in the closed-form root can exceed the 1e-9
+tolerance; there the solver re-checks the same candidates at 1e-6. If
+none validates even then, it raises NoEquilibriumFound.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ NAN = float("nan")
 
 
 class NoEquilibriumFound(RuntimeError):
-    """No split validated, not even the fallback's: so near saturation that
-    rounding in 1/(c - f) exceeds 1e-6. An equilibrium still exists."""
+    """No candidate split validated, not even at the 1e-6 re-check: so near
+    saturation that rounding in 1/(c - f) exceeds 1e-6. An equilibrium
+    still exists."""
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,6 @@ class EquilibriumReport:
     cost_a: tuple[float, float]
     cost_b: tuple[float, float]
     residual: float
-
-
-def _gap(net: NetworkPair, demand_total: float, f1: float) -> float:
-    """Latency gap l1(f1) - l2(D - f1); +-inf at the saturation edges."""
-    l1 = delay(net.c1, f1) if f1 < net.c1 else math.inf
-    f2 = demand_total - f1
-    l2 = delay(net.c2, f2) if f2 < net.c2 else math.inf
-    if l1 == math.inf:
-        return math.inf
-    if l2 == math.inf:
-        return -math.inf
-    return l1 - l2
 
 
 def _solve_gap(net: NetworkPair, demand_total: float, t: float) -> float:
@@ -203,20 +192,6 @@ def _candidate_splits(
     return out
 
 
-def _bisect_gap(net: NetworkPair, demand_total: float, t: float) -> float:
-    # Fallback near saturation, where the closed-form root's rounding
-    # exceeds the 1e-9 tolerance; e.g. D = 15 - 1e-7 on (c1, c2) = (4, 11).
-    lo = max(0.0, demand_total - net.c2) + 1e-15
-    hi = min(demand_total, net.c1) - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _gap(net, demand_total, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def taxed_equilibrium(
     net: NetworkPair,
     dem: Demand,
@@ -254,27 +229,16 @@ def taxed_equilibrium(
 
     t_a = sens.alpha_a * dtau
     t_b = sens.alpha_b * dtau
+    splits = _candidate_splits(net, dem, t_a, t_b)
     best = math.inf
-    for split in _candidate_splits(net, dem, t_a, t_b):
-        rep = _report(net, sens, taxes, split, tol)
-        if _validates(rep, tol):
-            return rep
-        best = min(best, rep.residual)
-
-    # Near saturation: bisect the latency gap, at a tolerance of 1e-6.
-    fallback_tol = max(tol, 1e-6)
-    for t in (t_a, t_b):
-        f1 = _bisect_gap(net, demand_total, t)
-        f1_a = _clip(f1, max(0.0, f1 - dem.d_b), min(dem.d_a, f1))
-        split = ClassFlowSplit(
-            f1_a=f1_a,
-            f1_b=f1 - f1_a,
-            f2_a=max(dem.d_a - f1_a, 0.0),
-            f2_b=max(dem.d_b - (f1 - f1_a), 0.0),
-        )
-        rep = _report(net, sens, taxes, split, fallback_tol)
-        if _validates(rep, fallback_tol):
-            return rep
+    # Near saturation rounding in 1/(c - f) can exceed tol; then the same
+    # candidates are re-checked at 1e-6.
+    for check_tol in (tol, max(tol, 1e-6)):
+        for split in splits:
+            rep = _report(net, sens, taxes, split, check_tol)
+            if _validates(rep, check_tol):
+                return rep
+            best = min(best, rep.residual)
 
     raise NoEquilibriumFound(
         f"no equilibrium validated at demand {demand_total!r} "

@@ -107,10 +107,6 @@ class SimConfig:
     def profile(self, cls: str) -> ClassProfile:
         return self.class_a if cls == CLASS_A else self.class_b
 
-    @property
-    def offered_load(self) -> float:
-        return self.class_a.offered_load + self.class_b.offered_load
-
 
 class SystemState:
     """Active sessions and the per-network, per-class carried throughput.
@@ -307,7 +303,6 @@ class BlockingStats:
 @dataclass
 class SimSummary:
     avg_poa: float
-    blocking_rate: float
     relaxation_warnings: int
 
 
@@ -435,11 +430,7 @@ def run(cfg: SimConfig) -> SimTrace:
     return SimTrace(
         samples=samples,
         blocking=blocking,
-        summary=SimSummary(
-            avg_poa=avg_poa,
-            blocking_rate=blocking.rate,
-            relaxation_warnings=warnings,
-        ),
+        summary=SimSummary(avg_poa=avg_poa, relaxation_warnings=warnings),
     )
 
 

@@ -35,7 +35,7 @@ from nettax.simulator import (
 
 from oracles import grid_min_total_cost, wardrop_grid_oracle
 from test_equilibrium import random_instances
-from test_simulator import audit_trace
+import workloads
 
 NET = NetworkPair(4, 11)
 SENS = Sensitivities(2, 1)
@@ -148,7 +148,10 @@ def test_criterion_6_simulator_invariant_suite():
         for policy in TaxPolicy:
             cfg = base_sim(policy=policy, seed=replication_seed(606, i))
             trace = run(cfg)
-            audit_trace(cfg, trace)
+            assert workloads.audit(
+                workloads.trace_auditor(cfg), workloads.trace_rows(trace),
+                trace.summary.avg_poa, trace.blocking.rate, f"{policy.value} run {i}",
+            ) == []
             assert run(cfg).samples == trace.samples  # determinism
 
     # near-zero throughput: no blocking, session counts behave like M/M/inf

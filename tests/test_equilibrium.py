@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nettax import equilibrium
 from nettax.analytics import (
     Demand,
     NetworkPair,
@@ -98,36 +97,48 @@ class TestTaxedEquilibrium:
             (Demand(1, 11), TaxVector(1e-12, 0)),
         ],
     )
-    def test_network1_tax_root_needs_no_fallback(self, monkeypatch, dem, taxes):
-        def no_fallback(*args):
-            raise AssertionError("fallback reached")
+    def test_network1_tax_root_needs_no_fallback(self, dem, taxes):
+        assert some_candidate_validates(NET, dem, SENS, taxes, 1e-9)
 
-        monkeypatch.setattr(equilibrium, "_bisect_gap", no_fallback)
-        assert _validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-9)
+    @pytest.mark.parametrize("tau1", [1e7, 1e8, 1e9])
+    @pytest.mark.parametrize("d_a, d_b", [(6, 6), (8, 4), (10, 2), (5, 7)])
+    def test_heavy_network1_tax_pushes_class_b_to_network1(self, tau1, d_a, d_b):
+        # tau1 > tau2: class B, the less price-averse class, takes network
+        # 1, where network 2's overflow of 1 must go (D is 0.8 of capacity).
+        # Network 2 is then within 1/(alpha_b * tau1) of its capacity, where
+        # only the 1e-6 re-check validates.
+        rep = taxed_equilibrium(NET, Demand(d_a, d_b), SENS, TaxVector(tau1, 0))
+        assert rep.split.f1_a == 0
+        assert rep.split.f1_b > 0
+        assert _validates(rep, 1e-6)
 
 
 class TestFallback:
-    def test_near_saturation_reaches_the_fallback(self, monkeypatch):
+    def test_near_saturation_reaches_the_fallback(self):
         # 1e-7 below capacity, rounding in 1/(c - f) exceeds the 1e-9
-        # tolerance of every closed-form candidate.
-        calls = []
-        bisect_gap = equilibrium._bisect_gap
-
-        def counted(*args):
-            calls.append(args)
-            return bisect_gap(*args)
-
-        monkeypatch.setattr(equilibrium, "_bisect_gap", counted)
-        ok, diffs = verify_proposition1(NET, Demand(15 - 1e-7 - 1, 1), SENS)
+        # tolerance of every closed-form candidate; the solver re-checks
+        # them at 1e-6.
+        dem = Demand(15 - 1e-7 - 1, 1)
+        taxes = optimal_tax(NET, dem, SENS)
+        assert not some_candidate_validates(NET, dem, SENS, taxes, 1e-9)
+        assert _validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-6)
+        ok, diffs = verify_proposition1(NET, dem, SENS)
         assert ok, diffs
-        assert len(calls) == 1
+
+
+def some_candidate_validates(net, dem, sens, taxes, tol):
+    dtau = taxes.tau2 - taxes.tau1
+    splits = _candidate_splits(net, dem, sens.alpha_a * dtau, sens.alpha_b * dtau)
+    return any(
+        _validates(_report(net, sens, taxes, split, tol), tol) for split in splits
+    )
 
 
 @st.composite
 def solver_instances(draw):
     """A taxed game at most (1 - 1e-5) of the way to saturation, with
-    tau2 >= tau1, empty classes and demands within 1e-12 of c1, c2 and the
-    tax threshold, and tax differences down to 1e-13."""
+    taxes in either order, empty classes and demands within 1e-12 of c1,
+    c2 and the tax threshold, and tax differences down to 1e-13."""
     c1 = draw(st.floats(0.1, 50))
     net = NetworkPair(c1, c1 + draw(st.floats(0.01, 100)))
     cap = (1 - 1e-5) * net.total
@@ -147,20 +158,17 @@ def solver_instances(draw):
         tau1 = draw(st.sampled_from([0.0]) | st.floats(0, 10))
         dtau = draw(st.floats(1e-13, 1e-7) | st.floats(0, 10))
         taxes = TaxVector(tau1, tau1 + dtau)
+        if draw(st.booleans()):
+            taxes = TaxVector(taxes.tau2, taxes.tau1)
     return net, dem, sens, taxes
 
 
 @settings(max_examples=300, deadline=None)
 @given(solver_instances())
 def test_some_candidate_split_validates(instance):
-    # Away from saturation the closed-form supports are complete: the
-    # bisection fallback is never needed.
-    net, dem, sens, taxes = instance
-    dtau = taxes.tau2 - taxes.tau1
-    splits = _candidate_splits(net, dem, sens.alpha_a * dtau, sens.alpha_b * dtau)
-    assert any(
-        _validates(_report(net, sens, taxes, split, 1e-9), 1e-9) for split in splits
-    )
+    # Away from saturation the closed-form supports are complete at 1e-9:
+    # the 1e-6 re-check is never needed.
+    assert some_candidate_validates(*instance, 1e-9)
 
 
 class TestProposition1:

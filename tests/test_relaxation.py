@@ -30,6 +30,7 @@ from nettax.simulator import (
     run,
 )
 from oracles import reference_relaxation
+import workloads
 
 GROUPS = ((1, CLASS_A), (1, CLASS_B), (2, CLASS_A), (2, CLASS_B))
 
@@ -155,3 +156,7 @@ def test_group_lists_track_sessions_through_a_run(monkeypatch):
     assert len(calls) > 1000
     assert sum(s for s, _ in calls) > 0
     assert trace.summary.relaxation_warnings == 0
+    assert workloads.audit(
+        workloads.trace_auditor(cfg), workloads.trace_rows(trace),
+        trace.summary.avg_poa, trace.blocking.rate, "seed 3",
+    ) == []

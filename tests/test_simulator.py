@@ -25,6 +25,8 @@ from nettax.simulator import (
     write_trace_csv,
 )
 
+import workloads
+
 NET = NetworkPair(4, 11)
 
 
@@ -201,25 +203,6 @@ class TestHandoverRelaxation:
                     )
 
 
-def audit_trace(cfg, trace):
-    eps_a, eps_b = cfg.class_a.throughput, cfg.class_b.throughput
-    prev_t = 0.0
-    for s in trace.samples:
-        assert s.t >= prev_t
-        prev_t = s.t
-        c1_load = s.n1a * eps_a + s.n1b * eps_b
-        c2_load = s.n2a * eps_a + s.n2b * eps_b
-        assert c1_load < cfg.net.c1
-        assert c2_load < cfg.net.c2
-        assert s.load == pytest.approx(c1_load + c2_load, abs=1e-9)
-        if s.load > 0:
-            assert s.poa >= 1 - 1e-9
-        else:
-            assert s.poa == 1.0
-        active = cfg.policy is not TaxPolicy.NONE and s.load > cfg.net.tax_threshold()
-        assert (s.tau2 > 0) == active
-
-
 class TestRun:
     def test_empty_arrivals(self):
         cfg = base_config(
@@ -248,7 +231,10 @@ class TestRun:
     def test_invariants(self, policy, handovers):
         cfg = base_config(policy=policy, handovers=handovers, seed=7)
         trace = run(cfg)
-        audit_trace(cfg, trace)
+        assert workloads.audit(
+            workloads.trace_auditor(cfg), workloads.trace_rows(trace),
+            trace.summary.avg_poa, trace.blocking.rate, "seed 7",
+        ) == []
 
     def test_average_load_tracks_offered_load(self):
         cfg = base_config(horizon=400.0, warmup=50.0)
@@ -259,7 +245,8 @@ class TestRun:
             total += prev_load * (s.t - prev_t)
             prev_t, prev_load = s.t, s.load
         total += prev_load * (cfg.horizon - prev_t)
-        assert total / cfg.horizon == pytest.approx(cfg.offered_load, rel=0.15)
+        offered = cfg.class_a.offered_load + cfg.class_b.offered_load
+        assert total / cfg.horizon == pytest.approx(offered, rel=0.15)
 
     def test_taxed_run_beats_untaxed_on_common_randomness(self):
         # paired comparison at a load where taxes matter
