@@ -123,12 +123,15 @@ def _load_scenario(args) -> scenario.Scenario:
 
 def _cmd_simulate(args) -> int:
     scn = _load_scenario(args)
-    trace = simulator.run(scn.sim)
-    simulator.write_trace_csv(trace, args.out)
-    s = trace.summary
-    print(f"trace: {args.out} ({len(trace.samples)} events)")
+    # Rows are written as the events happen, so memory does not grow with
+    # the horizon.
+    with open(args.out, "w", newline="") as fh:
+        fh.write(simulator.TRACE_HEADER + "\n")
+        write, row = fh.write, simulator.TRACE_ROW
+        blocking, s = simulator.simulate(scn.sim, lambda sample: write(row % sample))
+    print(f"trace: {args.out} ({s.events} events)")
     print(f"avg_poa {_fmt(s.avg_poa)}")
-    print(f"blocking_rate {_fmt(trace.blocking.rate)}")
+    print(f"blocking_rate {_fmt(blocking.rate)}")
     print(f"tax_threshold {_fmt(scn.sim.net.tax_threshold())}")
     if s.relaxation_warnings:
         print(f"relaxation_warnings {s.relaxation_warnings}")

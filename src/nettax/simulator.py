@@ -9,6 +9,10 @@ best-responding to load and tax changes until no profitable switch
 remains. A tax policy recomputes the price on the large network at every
 event from the currently carried load.
 
+``simulate`` hands each event's sample to a sink as it is made and keeps
+none: ``run`` collects them into a trace, ``nettax simulate`` streams them
+to its CSV, and sweeps pass no sink, so no sample is built at all.
+
 Runs are deterministic: a config (including its seed) maps to a single
 trace. Replications derive their RNG stream from the string
 ``"{seed}:{index}"``, so paired comparisons across policies share random
@@ -21,6 +25,7 @@ import bisect
 import heapq
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
@@ -196,23 +201,35 @@ def choose_network(
     return best
 
 
-def _wants_switch(
-    state: SystemState, cls: str, p: int, taxes: TaxVector, hysteresis: float
-) -> bool:
-    # All sessions of the same (class, network) face identical costs, so
-    # the switch decision is a per-group predicate, not a per-session one.
-    net = state.cfg.net
-    eps, alpha = state.profiles[cls]
-    loads = state.loads
-    q = 2 if p == 1 else 1
-    cap_p, tau_p = (net.c1, taxes.tau1) if p == 1 else (net.c2, taxes.tau2)
-    cap_q, tau_q = (net.c1, taxes.tau1) if q == 1 else (net.c2, taxes.tau2)
-    moved = loads[q] + eps
-    if moved >= cap_q:
-        return False
-    stay = delay(cap_p, loads[p]) + alpha * tau_p
-    move = delay(cap_q, moved) + alpha * tau_q
-    return move < stay - hysteresis
+def _switching_groups(
+    state: SystemState, taxes: TaxVector, hysteresis: float
+) -> list[tuple[int, str]]:
+    """The occupied (network, class) groups whose sessions would cut their
+    perceived cost by more than the hysteresis by moving to the other
+    network. All sessions of a group face identical costs, so the switch
+    decision is a per-group predicate, not a per-session one. The latency
+    of staying on a network is the same for both classes, so one call
+    costs at most 6 ``delay``s."""
+    net, loads, counts = state.cfg.net, state.loads, state.counts
+    stay1, stay2 = delay(net.c1, loads[1]), delay(net.c2, loads[2])
+    out = []
+    for cls in (CLASS_A, CLASS_B):
+        eps, alpha = state.profiles[cls]
+        if counts[(1, cls)]:
+            moved = loads[2] + eps
+            if moved < net.c2 and (
+                delay(net.c2, moved) + alpha * taxes.tau2
+                < stay1 + alpha * taxes.tau1 - hysteresis
+            ):
+                out.append((1, cls))
+        if counts[(2, cls)]:
+            moved = loads[1] + eps
+            if moved < net.c1 and (
+                delay(net.c1, moved) + alpha * taxes.tau1
+                < stay2 + alpha * taxes.tau2 - hysteresis
+            ):
+                out.append((2, cls))
+    return out
 
 
 def handover_relaxation(
@@ -224,12 +241,12 @@ def handover_relaxation(
     One sweep moves, in ascending sid, every session that wants to switch
     when its turn comes. Whether a session wants to switch depends only on
     its (network, class) group, and the state changes only when a session
-    moves. So a sweep is a cursor walk over ``state.groups``: ask each
-    non-empty group whether it wants to switch, move the lowest sid above
-    the cursor among those that do, set the cursor to that sid, and repeat
-    until no group yields one. The sessions it jumps over sit in groups
-    that do not want to switch, and a session moved earlier in the sweep
-    now lies at or below the cursor. This is the same sequence of moves as
+    moves. So a sweep is a cursor walk over ``state.groups``: ask which
+    non-empty groups want to switch (``_switching_groups``), move the
+    lowest sid above the cursor among them, set the cursor to that sid,
+    and repeat until no group yields one. The sessions it jumps over sit
+    in groups that do not want to switch, and a session moved earlier in
+    the sweep now lies at or below the cursor. This is the same sequence of moves as
     visiting every session in ascending sid. When the last step of a sweep
     finds no group that wants to switch at all, the next sweep would move
     no one, so the relaxation returns without making it.
@@ -241,19 +258,19 @@ def handover_relaxation(
     if cap is None:
         cap = 100 * max(1, len(state.sessions))
     hysteresis = cfg.handover_hysteresis
-    groups = state.groups.items()
+    groups = state.groups
     total = 0
     for rounds in range(1, cap + 1):
         switched = 0
         cursor = -math.inf
         while True:
-            nxt, wanting = None, False
-            for (p, cls), sids in groups:
-                if sids and _wants_switch(state, cls, p, taxes, hysteresis):
-                    wanting = True
-                    i = bisect.bisect_right(sids, cursor)
-                    if i < len(sids) and (nxt is None or sids[i] < nxt):
-                        nxt, q = sids[i], 2 if p == 1 else 1
+            nxt = None
+            wanting = _switching_groups(state, taxes, hysteresis)
+            for p, cls in wanting:
+                sids = groups[(p, cls)]
+                i = bisect.bisect_right(sids, cursor)
+                if i < len(sids) and (nxt is None or sids[i] < nxt):
+                    nxt, q = sids[i], 2 if p == 1 else 1
             if nxt is None:
                 break
             state.move(nxt, q)
@@ -304,6 +321,7 @@ class BlockingStats:
 class SimSummary:
     avg_poa: float
     relaxation_warnings: int
+    events: int
 
 
 @dataclass
@@ -319,20 +337,32 @@ def replication_seed(seed: int | str, index: int) -> str:
 
 
 def run(cfg: SimConfig) -> SimTrace:
+    """Simulate one trajectory and keep the sample of every event: the
+    trace of ``simulate`` with a sink that appends to a list. The samples
+    are held until the run ends; ``nettax simulate`` streams its rows to
+    the CSV instead, and sweeps keep none."""
+    samples: list[Sample] = []
+    blocking, summary = simulate(cfg, samples.append)
+    return SimTrace(samples=samples, blocking=blocking, summary=summary)
+
+
+def simulate(
+    cfg: SimConfig, sink: Callable[[Sample], object] | None = None
+) -> tuple[BlockingStats, SimSummary]:
     """Simulate one trajectory and integrate metrics event by event.
 
     The tax in force is recomputed whenever an event changes the state.
     Each event's admission / handover decisions use the pre-event tax; the
-    recorded sample carries the post-event tax, which is the one in force
-    until the next event and hence that event's pre-event tax. Time
-    averages use exact piecewise-constant integration over
+    sample carries the post-event tax, which is the one in force until the
+    next event and hence that event's pre-event tax. Each sample goes to
+    ``sink`` as soon as it is made, and none is kept; with no sink, none is
+    built. Time averages use exact piecewise-constant integration over
     [warmup, horizon].
     """
     rng = random.Random(str(cfg.seed))
     state = SystemState(cfg)
-    samples: list[Sample] = []
     blocking = BlockingStats()
-    warnings = 0
+    warnings = events = 0
 
     departures: list[tuple[float, int]] = []
     next_sid = 0
@@ -342,14 +372,6 @@ def run(cfg: SimConfig) -> SimTrace:
         next_arrival[cls] = rng.expovariate(lam) if lam > 0 else math.inf
 
     loads, counts, net = state.loads, state.counts, cfg.net
-
-    def metrics() -> tuple[float, float, float, float]:
-        load = loads[1] + loads[2]
-        if load == 0:
-            return 0.0, 0.0, 0.0, 1.0
-        cost = link_cost(net.c1, loads[1]) + link_cost(net.c2, loads[2])
-        cost_opt = optimal_cost(net, load)
-        return load, cost, cost_opt, cost / cost_opt
 
     poa = 1.0
     clock = 0.0
@@ -409,29 +431,23 @@ def run(cfg: SimConfig) -> SimTrace:
                     warnings += 1
             taxes = current_tax(cfg.policy, state, cfg)
 
-        load, cost, cost_opt, poa = metrics()
-        samples.append(
-            Sample(
-                t=t,
-                load=load,
-                tau2=taxes.tau2,
-                cost=cost,
-                cost_opt=cost_opt,
-                poa=poa,
-                n1a=counts[(1, CLASS_A)],
-                n1b=counts[(1, CLASS_B)],
-                n2a=counts[(2, CLASS_A)],
-                n2b=counts[(2, CLASS_B)],
-                event=event,
+        events += 1
+        load = loads[1] + loads[2]
+        if load == 0:
+            cost = cost_opt = 0.0
+            poa = 1.0
+        else:
+            cost = link_cost(net.c1, loads[1]) + link_cost(net.c2, loads[2])
+            cost_opt = optimal_cost(net, load)
+            poa = cost / cost_opt
+        if sink is not None:
+            # counts holds the groups in the order 1A, 1B, 2A, 2B.
+            sink(
+                Sample(t, load, taxes.tau2, cost, cost_opt, poa, *counts.values(), event)
             )
-        )
 
     avg_poa = poa_integral / (cfg.horizon - cfg.warmup)
-    return SimTrace(
-        samples=samples,
-        blocking=blocking,
-        summary=SimSummary(avg_poa=avg_poa, relaxation_warnings=warnings),
-    )
+    return blocking, SimSummary(avg_poa, warnings, events)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +506,8 @@ def replication_config(
 
 
 def _run_cell_replication(cfg: SimConfig) -> tuple[float, int, int]:
-    trace = run(cfg)
-    return (
-        trace.summary.avg_poa,
-        trace.blocking.measured_arrivals,
-        trace.blocking.measured_blocked,
-    )
+    blocking, summary = simulate(cfg)
+    return summary.avg_poa, blocking.measured_arrivals, blocking.measured_blocked
 
 
 def sweep_load(
@@ -599,6 +611,8 @@ def blocking_crossing(points: list[tuple[float, float]], level: float) -> float 
 # CSV export (9 significant digits for all floats)
 
 TRACE_HEADER = "t,D,tau2,C,C_opt,PoA,n1A,n1B,n2A,n2B,event"
+# One trace row from a Sample; "%.9g" gives the same text as _fmt.
+TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d,%d,%d,%s\n"
 SUMMARY_HEADER = "load,policy,handover,mean_poa,se_poa,blocking_rate,replications"
 
 
@@ -609,25 +623,7 @@ def _fmt(x: float) -> str:
 def write_trace_csv(trace: SimTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for s in trace.samples:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(s.t),
-                        _fmt(s.load),
-                        _fmt(s.tau2),
-                        _fmt(s.cost),
-                        _fmt(s.cost_opt),
-                        _fmt(s.poa),
-                        str(s.n1a),
-                        str(s.n1b),
-                        str(s.n2a),
-                        str(s.n2b),
-                        s.event,
-                    ]
-                )
-                + "\n"
-            )
+        fh.writelines(TRACE_ROW % s for s in trace.samples)
 
 
 def write_summary_csv(rows: list[SweepRow], path) -> None:

@@ -11,8 +11,10 @@ aggregate; the scan below evaluates exactly the minimum the naive double
 loop would find (per aggregate, the violation only depends on whether
 each class sits at 0, at its full demand, or strictly between).
 
-``reference_relaxation`` is the plain handover relaxation: every sweep
-visits every session in ascending sid and asks it whether to switch.
+``wants_switch`` is the per-group switch predicate written out for one
+(network, class) group at a time, and ``reference_relaxation`` is the
+plain handover relaxation built on it: every sweep visits every session
+in ascending sid and asks it whether to switch.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from nettax.simulator import _wants_switch
 
 
 def latency_curve(c: float, flows: np.ndarray) -> np.ndarray:
@@ -107,6 +107,24 @@ def wardrop_grid_oracle(
     return best_k * step, best_v
 
 
+def wants_switch(state, cls: str, p: int, taxes, hysteresis: float) -> bool:
+    """Whether sessions of class ``cls`` on network ``p`` cut their
+    perceived cost by more than ``hysteresis`` by moving to the other
+    network, which must have room for them."""
+    net = state.cfg.net
+    eps, alpha = state.profiles[cls]
+    loads = state.loads
+    q = 2 if p == 1 else 1
+    cap_p, tau_p = (net.c1, taxes.tau1) if p == 1 else (net.c2, taxes.tau2)
+    cap_q, tau_q = (net.c1, taxes.tau1) if q == 1 else (net.c2, taxes.tau2)
+    moved = loads[q] + eps
+    if moved >= cap_q:
+        return False
+    stay = 1.0 / (cap_p - loads[p]) + alpha * tau_p
+    move = 1.0 / (cap_q - moved) + alpha * tau_q
+    return move < stay - hysteresis
+
+
 def reference_relaxation(state, taxes, cfg) -> tuple[int, bool]:
     """Best-response sweeps over all sessions in ascending sid, with the
     same round cap and result as ``simulator.handover_relaxation``. Each
@@ -120,14 +138,14 @@ def reference_relaxation(state, taxes, cfg) -> tuple[int, bool]:
         rounds += 1
         if not any(
             state.counts[(p, cls)] > 0
-            and _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
+            and wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
             for (p, cls) in state.counts
         ):
             return total, True
         switched = 0
         for sid in sorted(state.sessions):
             cls, p = state.sessions[sid]
-            if _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis):
+            if wants_switch(state, cls, p, taxes, cfg.handover_hysteresis):
                 state.move(sid, 2 if p == 1 else 1)
                 switched += 1
         total += switched

@@ -181,6 +181,8 @@ def test_criterion_6_simulator_invariant_suite():
                    f"(A {np.mean(means_a):.2f}/12, B {np.mean(means_b):.2f}/11.25)")
 
 
+# Two workers: test_simulator.py requires the pooled rows to equal the
+# serial rows, so the verdicts do not depend on the worker count.
 @pytest.fixture(scope="module")
 def handover_rows():
     return sweep_load(
@@ -189,7 +191,7 @@ def handover_rows():
         ratio=RATIO,
         replications=30,
         handover_settings=(True,),
-        max_workers=1,
+        max_workers=2,
     )
 
 
@@ -202,7 +204,7 @@ def no_handover_rows():
         replications=30,
         policies=(TaxPolicy.NONE, TaxPolicy.OPTIMAL),
         handover_settings=(False,),
-        max_workers=1,
+        max_workers=2,
     )
 
 

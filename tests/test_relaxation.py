@@ -4,6 +4,8 @@
 lists of ``SystemState``. ``reference_relaxation`` visits every session in
 ascending sid. On random states they must make the same moves, return the
 same result, and, when converged, leave no group that gains by switching.
+``_switching_groups``, which asks all four groups at once, must name the
+same groups as the one-group predicate ``oracles.wants_switch``.
 
 ``SystemState`` also keeps the per-group sid lists and the carried loads
 up to date itself. ``CheckedState`` recomputes both from the sessions
@@ -25,11 +27,11 @@ from nettax.simulator import (
     SimConfig,
     SystemState,
     TaxPolicy,
-    _wants_switch,
+    _switching_groups,
     handover_relaxation,
     run,
 )
-from oracles import reference_relaxation
+from oracles import reference_relaxation, wants_switch
 import workloads
 
 GROUPS = ((1, CLASS_A), (1, CLASS_B), (2, CLASS_A), (2, CLASS_B))
@@ -127,7 +129,31 @@ def test_indexed_relaxation_matches_reference_walk(case):
     if converged:
         for (p, cls), n in state.counts.items():
             if n:
-                assert not _wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
+                assert not wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
+
+
+@given(case=relaxation_cases())
+@settings(max_examples=300, deadline=None)
+def test_switching_groups_match_reference_predicate(case):
+    cfg, admission, taxes = case
+    state = build_state(cfg, admission)
+    hysteresis = cfg.handover_hysteresis
+    occupied = [(p, cls) for p, cls in GROUPS if state.counts[(p, cls)]]
+    expected = {
+        (p, cls) for p, cls in occupied if wants_switch(state, cls, p, taxes, hysteresis)
+    }
+    found = _switching_groups(state, taxes, hysteresis)
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+
+    caps = {1: cfg.net.c1, 2: cfg.net.c2}
+    eps = {CLASS_A: cfg.class_a.throughput, CLASS_B: cfg.class_b.throughput}
+    if len(occupied) < len(GROUPS):
+        event("an empty group")
+    if any(state.loads[3 - p] + eps[cls] >= caps[3 - p] for p, cls in occupied):
+        event("a saturated target")
+    if taxes.tau1 > taxes.tau2:
+        event("tau1 > tau2")
 
 
 def test_group_lists_track_sessions_through_a_run(monkeypatch):

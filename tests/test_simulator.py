@@ -193,12 +193,12 @@ class TestHandoverRelaxation:
         taxes = TaxVector(0, 0.05)
         _, converged = handover_relaxation(state, taxes, cfg)
         assert converged
-        from nettax.simulator import _wants_switch
+        from oracles import wants_switch
 
         for cls in (CLASS_A, CLASS_B):
             for p in (1, 2):
                 if state.counts[(p, cls)]:
-                    assert not _wants_switch(
+                    assert not wants_switch(
                         state, cls, p, taxes, cfg.handover_hysteresis
                     )
 
