@@ -32,9 +32,9 @@ class NetworkPair:
     _tax_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.c2 > self.c1 > 0):
+        if not (INF > self.c2 > self.c1 > 0):
             raise ValueError(
-                f"requires c2 > c1 > 0, got c1={self.c1}, c2={self.c2}"
+                f"requires finite c2 > c1 > 0, got c1={self.c1}, c2={self.c2}"
             )
         object.__setattr__(
             self, "_tax_threshold", self.c2 - math.sqrt(self.c1 * self.c2)
@@ -57,9 +57,10 @@ class Sensitivities:
     alpha_b: float
 
     def __post_init__(self):
-        if not (self.alpha_a > self.alpha_b > 0):
+        if not (INF > self.alpha_a > self.alpha_b > 0):
             raise ValueError(
-                f"requires alpha_a > alpha_b > 0, got {self.alpha_a}, {self.alpha_b}"
+                "requires finite alpha_a > alpha_b > 0, "
+                f"got {self.alpha_a}, {self.alpha_b}"
             )
 
 
@@ -75,7 +76,7 @@ class Demand:
     d_b: float
 
     def __post_init__(self):
-        if self.d_a < 0 or self.d_b < 0:
+        if not (self.d_a >= 0 and self.d_b >= 0):
             raise ValueError(f"demands must be >= 0, got {self.d_a}, {self.d_b}")
 
     def total(self) -> float:
@@ -96,17 +97,18 @@ class FlowAssignment:
 
 @dataclass(frozen=True)
 class TaxVector:
-    """Per-unit prices on the two networks.
+    """Per-unit prices on the two networks, for the equilibrium solver.
 
-    Every shipped policy keeps tau1 = 0; the type stays general so the
-    equilibrium solver can be exercised with arbitrary price pairs.
+    The policies price network 2 only (``optimal_tax`` returns (0, tau2),
+    and the simulator carries tau2 as one float); the type stays general
+    so the solver can be exercised with arbitrary price pairs.
     """
 
     tau1: float = 0.0
     tau2: float = 0.0
 
     def __post_init__(self):
-        if self.tau1 < 0 or self.tau2 < 0:
+        if not (self.tau1 >= 0 and self.tau2 >= 0):
             raise ValueError(f"taxes must be >= 0, got {self.tau1}, {self.tau2}")
 
 
@@ -139,7 +141,8 @@ def total_cost(net: NetworkPair, f: FlowAssignment) -> float:
 
 
 def _check_demand(net: NetworkPair, demand_total: float) -> None:
-    if demand_total < 0:
+    # "not >= 0" also rejects nan; inf fails the capacity test below.
+    if not demand_total >= 0:
         raise ValueError(f"demand must be >= 0, got {demand_total}")
     if demand_total >= net.total:
         raise DemandExceedsCapacity(

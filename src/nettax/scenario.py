@@ -8,6 +8,7 @@ rejected by name so a typo never silently falls back to a default.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .analytics import NetworkPair
@@ -32,8 +33,8 @@ class SweepSpec:
                 raise ScenarioError(f"sweep loads must be in (0, 1), got {x}")
         if self.replications < 1:
             raise ScenarioError(f"replications must be >= 1, got {self.replications}")
-        if self.ratio <= 0:
-            raise ScenarioError(f"ratio must be > 0, got {self.ratio}")
+        if not 0 < self.ratio < math.inf:
+            raise ScenarioError(f"ratio must be finite and > 0, got {self.ratio}")
 
 
 @dataclass(frozen=True)
@@ -155,28 +156,30 @@ def parse_scenario(text: str) -> Scenario:
     if handovers is None:
         raise ScenarioError("missing 'handovers' in section [sim]")
 
+    # Only the keys the file sets are passed; SimConfig holds the defaults.
+    optional = {}
     rounds_raw = sim_sec.get("max_handover_rounds", "").strip()
-    try:
-        max_rounds = int(rounds_raw) if rounds_raw else None
-    except ValueError as exc:
-        raise ScenarioError("'max_handover_rounds' must be an integer") from exc
+    if rounds_raw:
+        try:
+            optional["max_handover_rounds"] = int(rounds_raw)
+        except ValueError as exc:
+            raise ScenarioError("'max_handover_rounds' must be an integer") from exc
 
     try:
+        horizon = _parse_float(sim_sec, "horizon", "sim")
+        for key in ("warmup", "handover_hysteresis"):
+            if key in sim_sec:
+                optional[key] = _parse_float(sim_sec, key, "sim")
+        if "seed" in sim_sec:
+            optional["seed"] = int(sim_sec["seed"])
         sim = SimConfig(
             net=net,
             class_a=class_a,
             class_b=class_b,
             handovers=handovers,
             policy=policy,
-            horizon=_parse_float(sim_sec, "horizon", "sim"),
-            warmup=_parse_float(sim_sec, "warmup", "sim") if "warmup" in sim_sec else 0.0,
-            seed=int(sim_sec.get("seed", "0")),
-            handover_hysteresis=(
-                _parse_float(sim_sec, "handover_hysteresis", "sim")
-                if "handover_hysteresis" in sim_sec
-                else 1e-6
-            ),
-            max_handover_rounds=max_rounds,
+            horizon=horizon,
+            **optional,
         )
     except ValueError as exc:
         raise ScenarioError(f"section [sim]: {exc}") from exc

@@ -30,14 +30,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .analytics import (
-    NetworkPair,
-    TaxVector,
-    _tau2,
-    delay,
-    link_cost,
-    optimal_cost,
-)
+from .analytics import NetworkPair, _tau2, delay, link_cost, optimal_cost
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -60,14 +53,14 @@ class ClassProfile:
     alpha: float
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
-            raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
-        if self.mean_duration <= 0:
-            raise ValueError(f"mean_duration must be > 0, got {self.mean_duration}")
-        if self.throughput <= 0:
-            raise ValueError(f"throughput must be > 0, got {self.throughput}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        # Written so that nan fails every test; inf has no meaning here.
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ValueError(
+                f"arrival_rate must be finite and >= 0, got {self.arrival_rate}"
+            )
+        for name in ("mean_duration", "throughput", "alpha"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def offered_load(self) -> float:
@@ -102,8 +95,11 @@ class SimConfig:
             raise ValueError(
                 f"requires horizon > warmup >= 0, got {self.horizon}, {self.warmup}"
             )
-        if self.handover_hysteresis < 0:
-            raise ValueError("handover_hysteresis must be >= 0")
+        if not 0 <= self.handover_hysteresis < math.inf:
+            raise ValueError(
+                "handover_hysteresis must be finite and >= 0, "
+                f"got {self.handover_hysteresis}"
+            )
         if self.max_handover_rounds is not None and self.max_handover_rounds < 1:
             raise ValueError(
                 f"max_handover_rounds must be >= 1, got {self.max_handover_rounds}"
@@ -114,22 +110,23 @@ class SimConfig:
 
 
 class SystemState:
-    """Active sessions and the per-network, per-class carried throughput.
+    """Active sessions and the per-network carried throughput.
 
-    ``loads[p]`` is the throughput carried by network p. It is stored, and
-    ``admit`` and ``remove`` refresh it for the network they touch from the
-    integer counts as n_pA * eps_A + n_pB * eps_B, so it has the same bits
-    as recomputing it and no floating-point drift can accumulate.
-    ``profiles`` maps each class to its (throughput, alpha). ``groups``
-    holds the ascending session ids of each (network, class) group, so
-    ``counts[g] == len(groups[g])``.
+    ``groups`` is the one record of who is where: ``groups[(p, cls)]``
+    holds the ascending ids of the class-``cls`` sessions on network p, in
+    the order 1A, 1B, 2A, 2B, and a group's size is the ``len`` of its
+    list. ``loads[p]`` is the throughput carried by network p, a stored
+    cache: ``admit`` and ``remove`` refresh it for the network they touch
+    from the group sizes as n_pA * eps_A + n_pB * eps_B, so it has the same
+    bits as recomputing it and no floating-point drift can accumulate.
+    ``profiles`` maps each class to its (throughput, alpha).
     """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.sessions: dict[int, list] = {}  # sid -> [cls, network]
-        self.counts = {(1, CLASS_A): 0, (1, CLASS_B): 0, (2, CLASS_A): 0, (2, CLASS_B): 0}
-        self.groups: dict[tuple[int, str], list[int]] = {g: [] for g in self.counts}
+        self.groups: dict[tuple[int, str], list[int]] = {
+            (p, c): [] for p in (1, 2) for c in (CLASS_A, CLASS_B)
+        }
         self.profiles = {
             c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
         }
@@ -139,102 +136,101 @@ class SystemState:
         return self.loads[1] + self.loads[2]
 
     def class_load(self, cls: str) -> float:
-        return (self.counts[(1, cls)] + self.counts[(2, cls)]) * self.profiles[cls][0]
+        groups = self.groups
+        return (len(groups[(1, cls)]) + len(groups[(2, cls)])) * self.profiles[cls][0]
 
     def _refresh(self, p: int) -> None:
+        groups, profiles = self.groups, self.profiles
         self.loads[p] = (
-            self.counts[(p, CLASS_A)] * self.profiles[CLASS_A][0]
-            + self.counts[(p, CLASS_B)] * self.profiles[CLASS_B][0]
+            len(groups[(p, CLASS_A)]) * profiles[CLASS_A][0]
+            + len(groups[(p, CLASS_B)]) * profiles[CLASS_B][0]
         )
 
     def admit(self, sid: int, cls: str, p: int) -> None:
-        self.sessions[sid] = [cls, p]
-        self.counts[(p, cls)] += 1
         bisect.insort(self.groups[(p, cls)], sid)
         self._refresh(p)
 
-    def remove(self, sid: int) -> tuple[str, int]:
-        cls, p = self.sessions.pop(sid)
-        self.counts[(p, cls)] -= 1
-        group = self.groups[(p, cls)]
-        del group[bisect.bisect_left(group, sid)]
-        self._refresh(p)
-        return cls, p
+    def remove(self, sid: int, cls: str) -> int:
+        """Remove session ``sid`` of class ``cls`` and return the network
+        it was on, found by bisecting the class's two lists."""
+        for p in (1, 2):
+            group = self.groups[(p, cls)]
+            i = bisect.bisect_left(group, sid)
+            if i < len(group) and group[i] == sid:
+                del group[i]
+                self._refresh(p)
+                return p
+        raise KeyError(sid)
 
-    def move(self, sid: int, q: int) -> None:
-        cls, _ = self.remove(sid)
+    def move(self, sid: int, cls: str, q: int) -> None:
+        self.remove(sid, cls)
         self.admit(sid, cls, q)
 
 
-def current_tax(policy: TaxPolicy, state: SystemState, cfg: SimConfig) -> TaxVector:
-    """Tax on network 2 for the currently carried load.
+def current_tax(state: SystemState) -> float:
+    """Price tau2 on network 2 for the currently carried load. Network 1
+    is never taxed, so this one float is the whole incentive signal.
 
     OPTIMAL reads the true class-B carried load to pick the branch; APPROX
     substitutes the long-run average class-B load eps_B * lambda_B / mu_B.
     The magnitude only ever depends on the total load, which ``run()``
     keeps below each network's capacity, so the demand is not checked.
     """
-    if policy is TaxPolicy.NONE:
-        return TaxVector(0.0, 0.0)
-    if policy is TaxPolicy.OPTIMAL:
+    cfg = state.cfg
+    if cfg.policy is TaxPolicy.NONE:
+        return 0.0
+    if cfg.policy is TaxPolicy.OPTIMAL:
         d_b = state.class_load(CLASS_B)
     else:
         d_b = cfg.class_b.offered_load
     tau2, _ = _tau2(cfg.net, state.total_load(), d_b, cfg.class_a.alpha, cfg.class_b.alpha)
-    return TaxVector(0.0, tau2)
+    return tau2
 
 
-def choose_network(
-    state: SystemState, cls: str, taxes: TaxVector, net: NetworkPair
-) -> int | None:
+def choose_network(state: SystemState, cls: str, tau2: float) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
     when both are full. Ties go to network 2, the larger one."""
     eps, alpha = state.profiles[cls]
+    net, loads = state.cfg.net, state.loads
     best, best_cost = None, math.inf
-    for p, cap, tau in ((2, net.c2, taxes.tau2), (1, net.c1, taxes.tau1)):
-        load = state.loads[p] + eps
-        if load >= cap:
-            continue
-        cost = delay(cap, load) + alpha * tau
-        if cost < best_cost:
-            best, best_cost = p, cost
+    load = loads[2] + eps
+    if load < net.c2:
+        best, best_cost = 2, delay(net.c2, load) + alpha * tau2
+    load = loads[1] + eps
+    if load < net.c1 and delay(net.c1, load) < best_cost:
+        best = 1
     return best
 
 
-def _switching_groups(
-    state: SystemState, taxes: TaxVector, hysteresis: float
-) -> list[tuple[int, str]]:
+def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
     """The occupied (network, class) groups whose sessions would cut their
     perceived cost by more than the hysteresis by moving to the other
     network. All sessions of a group face identical costs, so the switch
     decision is a per-group predicate, not a per-session one. The latency
     of staying on a network is the same for both classes, so one call
     costs at most 6 ``delay``s."""
-    net, loads, counts = state.cfg.net, state.loads, state.counts
+    net, loads, groups = state.cfg.net, state.loads, state.groups
+    hysteresis = state.cfg.handover_hysteresis
     stay1, stay2 = delay(net.c1, loads[1]), delay(net.c2, loads[2])
     out = []
     for cls in (CLASS_A, CLASS_B):
         eps, alpha = state.profiles[cls]
-        if counts[(1, cls)]:
+        if groups[(1, cls)]:
             moved = loads[2] + eps
             if moved < net.c2 and (
-                delay(net.c2, moved) + alpha * taxes.tau2
-                < stay1 + alpha * taxes.tau1 - hysteresis
+                delay(net.c2, moved) + alpha * tau2 < stay1 - hysteresis
             ):
                 out.append((1, cls))
-        if counts[(2, cls)]:
+        if groups[(2, cls)]:
             moved = loads[1] + eps
             if moved < net.c1 and (
-                delay(net.c1, moved) + alpha * taxes.tau1
-                < stay2 + alpha * taxes.tau2 - hysteresis
+                delay(net.c1, moved) < stay2 + alpha * tau2 - hysteresis
             ):
                 out.append((2, cls))
     return out
 
 
-def handover_relaxation(
-    state: SystemState, taxes: TaxVector, cfg: SimConfig
-) -> tuple[int, bool]:
+def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     """Sequential best-response sweeps in ascending session id until a
     sweep makes no switch or the round cap is hit.
 
@@ -254,26 +250,25 @@ def handover_relaxation(
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
     """
-    cap = cfg.max_handover_rounds
-    if cap is None:
-        cap = 100 * max(1, len(state.sessions))
-    hysteresis = cfg.handover_hysteresis
     groups = state.groups
+    cap = state.cfg.max_handover_rounds
+    if cap is None:
+        cap = 100 * max(1, sum(map(len, groups.values())))
     total = 0
     for rounds in range(1, cap + 1):
         switched = 0
         cursor = -math.inf
         while True:
             nxt = None
-            wanting = _switching_groups(state, taxes, hysteresis)
+            wanting = _switching_groups(state, tau2)
             for p, cls in wanting:
                 sids = groups[(p, cls)]
                 i = bisect.bisect_right(sids, cursor)
                 if i < len(sids) and (nxt is None or sids[i] < nxt):
-                    nxt, q = sids[i], 2 if p == 1 else 1
+                    nxt, moving, q = sids[i], cls, 2 if p == 1 else 1
             if nxt is None:
                 break
-            state.move(nxt, q)
+            state.move(nxt, moving, q)
             cursor = nxt
             switched += 1
         total += switched
@@ -364,18 +359,19 @@ def simulate(
     blocking = BlockingStats()
     warnings = events = 0
 
-    departures: list[tuple[float, int]] = []
+    # (t, sid, cls): (t, sid) is unique, so cls never decides the order.
+    departures: list[tuple[float, int, str]] = []
     next_sid = 0
     next_arrival = {}
     for cls in (CLASS_A, CLASS_B):
         lam = cfg.profile(cls).arrival_rate
         next_arrival[cls] = rng.expovariate(lam) if lam > 0 else math.inf
 
-    loads, counts, net = state.loads, state.counts, cfg.net
+    loads, groups, net = state.loads, state.groups, cfg.net
 
     poa = 1.0
     clock = 0.0
-    taxes = current_tax(cfg.policy, state, cfg)
+    tau2 = current_tax(state)
     poa_integral = 0.0
 
     def advance(to: float) -> None:
@@ -396,8 +392,8 @@ def simulate(
 
         changed = False
         if t_dep <= next_arrival[CLASS_A] and t_dep <= next_arrival[CLASS_B]:
-            _, sid = heapq.heappop(departures)
-            cls, _p = state.remove(sid)
+            _, sid, cls = heapq.heappop(departures)
+            state.remove(sid, cls)
             event = "dep" + cls
             changed = True
         else:
@@ -411,7 +407,7 @@ def simulate(
             blocking.arrivals[cls] += 1
             if in_window:
                 blocking.measured_arrivals += 1
-            p = choose_network(state, cls, taxes, cfg.net)
+            p = choose_network(state, cls, tau2)
             if p is None:
                 blocking.blocked[cls] += 1
                 if in_window:
@@ -419,17 +415,17 @@ def simulate(
                 event = "blk" + cls
             else:
                 state.admit(next_sid, cls, p)
-                heapq.heappush(departures, (t + duration, next_sid))
+                heapq.heappush(departures, (t + duration, next_sid, cls))
                 next_sid += 1
                 event = "arr" + cls
                 changed = True
 
         if changed:
             if cfg.handovers:
-                _, converged = handover_relaxation(state, taxes, cfg)
+                _, converged = handover_relaxation(state, tau2)
                 if not converged:
                     warnings += 1
-            taxes = current_tax(cfg.policy, state, cfg)
+            tau2 = current_tax(state)
 
         events += 1
         load = loads[1] + loads[2]
@@ -441,9 +437,9 @@ def simulate(
             cost_opt = optimal_cost(net, load)
             poa = cost / cost_opt
         if sink is not None:
-            # counts holds the groups in the order 1A, 1B, 2A, 2B.
+            # groups holds the lists in the order 1A, 1B, 2A, 2B.
             sink(
-                Sample(t, load, taxes.tau2, cost, cost_opt, poa, *counts.values(), event)
+                Sample(t, load, tau2, cost, cost_opt, poa, *map(len, groups.values()), event)
             )
 
     avg_poa = poa_integral / (cfg.horizon - cfg.warmup)
@@ -475,8 +471,8 @@ def scale_arrival_rates(
     rate ratio lambda_a / lambda_b."""
     if not 0 < load < 1:
         raise ValueError(f"normalized load must be in (0, 1), got {load}")
-    if ratio <= 0:
-        raise ValueError(f"ratio must be > 0, got {ratio}")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and > 0, got {ratio}")
     target = load * base.net.total
     per_lambda_b = (
         ratio * base.class_a.mean_duration * base.class_a.throughput
@@ -597,13 +593,11 @@ def pooled_blocking_by_load(
 def blocking_crossing(points: list[tuple[float, float]], level: float) -> float | None:
     """First load at which the blocking curve crosses ``level``, linearly
     interpolated between grid points; None if it never does."""
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if y0 < level <= y1:
-            if y1 == y0:
-                return x1
-            return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
     if points and points[0][1] >= level:
         return points[0][0]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if y0 < level <= y1:
+            return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
     return None
 
 
@@ -611,9 +605,10 @@ def blocking_crossing(points: list[tuple[float, float]], level: float) -> float 
 # CSV export (9 significant digits for all floats)
 
 TRACE_HEADER = "t,D,tau2,C,C_opt,PoA,n1A,n1B,n2A,n2B,event"
-# One trace row from a Sample; "%.9g" gives the same text as _fmt.
-TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d,%d,%d,%s\n"
 SUMMARY_HEADER = "load,policy,handover,mean_poa,se_poa,blocking_rate,replications"
+# One row from a Sample or a SweepRow; "%.9g" gives the same text as _fmt.
+TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d,%d,%d,%s\n"
+SUMMARY_ROW = "%.9g,%s,%s,%.9g,%.9g,%.9g,%d\n"
 
 
 def _fmt(x: float) -> str:
@@ -629,18 +624,9 @@ def write_trace_csv(trace: SimTrace, path) -> None:
 def write_summary_csv(rows: list[SweepRow], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(r.load),
-                        r.policy.value,
-                        "true" if r.handovers else "false",
-                        _fmt(r.mean_poa),
-                        _fmt(r.se_poa),
-                        _fmt(r.blocking_rate),
-                        str(r.replications),
-                    ]
-                )
-                + "\n"
-            )
+        fh.writelines(
+            SUMMARY_ROW
+            % (r.load, r.policy.value, "true" if r.handovers else "false",
+               r.mean_poa, r.se_poa, r.blocking_rate, r.replications)
+            for r in rows
+        )

@@ -107,46 +107,51 @@ def wardrop_grid_oracle(
     return best_k * step, best_v
 
 
-def wants_switch(state, cls: str, p: int, taxes, hysteresis: float) -> bool:
+def wants_switch(state, cls: str, p: int, tau2: float, hysteresis: float) -> bool:
     """Whether sessions of class ``cls`` on network ``p`` cut their
     perceived cost by more than ``hysteresis`` by moving to the other
-    network, which must have room for them."""
+    network, which must have room for them. Only network 2 is taxed."""
     net = state.cfg.net
     eps, alpha = state.profiles[cls]
     loads = state.loads
     q = 2 if p == 1 else 1
-    cap_p, tau_p = (net.c1, taxes.tau1) if p == 1 else (net.c2, taxes.tau2)
-    cap_q, tau_q = (net.c1, taxes.tau1) if q == 1 else (net.c2, taxes.tau2)
+    cap = {1: net.c1, 2: net.c2}
+    tau = {1: 0.0, 2: tau2}
     moved = loads[q] + eps
-    if moved >= cap_q:
+    if moved >= cap[q]:
         return False
-    stay = 1.0 / (cap_p - loads[p]) + alpha * tau_p
-    move = 1.0 / (cap_q - moved) + alpha * tau_q
+    stay = 1.0 / (cap[p] - loads[p]) + alpha * tau[p]
+    move = 1.0 / (cap[q] - moved) + alpha * tau[q]
     return move < stay - hysteresis
 
 
-def reference_relaxation(state, taxes, cfg) -> tuple[int, bool]:
+def reference_relaxation(state, tau2: float) -> tuple[int, bool]:
     """Best-response sweeps over all sessions in ascending sid, with the
     same round cap and result as ``simulator.handover_relaxation``. Each
-    round first tests whether any occupied group wants to switch at all."""
+    round first tests whether any occupied group wants to switch at all.
+    The sid -> (class, network) map is built here from ``state.groups``
+    and kept up to date with every move."""
+    cfg = state.cfg
+    where = {sid: (cls, p) for (p, cls), sids in state.groups.items() for sid in sids}
     cap = cfg.max_handover_rounds
     if cap is None:
-        cap = 100 * max(1, len(state.sessions))
+        cap = 100 * max(1, len(where))
     total = 0
     rounds = 0
     while rounds < cap:
         rounds += 1
         if not any(
-            state.counts[(p, cls)] > 0
-            and wants_switch(state, cls, p, taxes, cfg.handover_hysteresis)
-            for (p, cls) in state.counts
+            sids and wants_switch(state, cls, p, tau2, cfg.handover_hysteresis)
+            for (p, cls), sids in state.groups.items()
         ):
             return total, True
         switched = 0
-        for sid in sorted(state.sessions):
-            cls, p = state.sessions[sid]
-            if wants_switch(state, cls, p, taxes, cfg.handover_hysteresis):
-                state.move(sid, 2 if p == 1 else 1)
+        for sid in sorted(where):
+            cls, p = where[sid]
+            if wants_switch(state, cls, p, tau2, cfg.handover_hysteresis):
+                q = 2 if p == 1 else 1
+                state.move(sid, cls, q)
+                where[sid] = (cls, q)
                 switched += 1
         total += switched
         if switched == 0:

@@ -44,6 +44,28 @@ def test_type_invariants():
         TaxVector(-0.1, 0)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: NetworkPair(4, INF), "c2=inf"),
+        (lambda: NetworkPair(NAN, 11), "c1=nan"),
+        (lambda: Sensitivities(INF, 1), "got inf, 1"),
+        (lambda: Sensitivities(2, NAN), "got 2, nan"),
+        (lambda: Demand(NAN, 1), "got nan, 1"),
+        (lambda: Demand(1, NAN), "got 1, nan"),
+        (lambda: TaxVector(0, NAN), "got 0, nan"),
+        (lambda: optimal_cost(NET, NAN), "demand must be >= 0, got nan"),
+        (lambda: optimal_cost(NET, INF), "total demand inf >= combined capacity"),
+    ],
+)
+def test_non_finite_input_rejected_by_name(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
 class TestDelay:
     def test_direct_evaluation(self):
         assert delay(11, 7.5) == pytest.approx(1 / 3.5)

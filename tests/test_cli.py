@@ -102,6 +102,23 @@ class TestAnalyzeCommand:
         )
         assert float(rows["C_opt"]) == pytest.approx(2.038071, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--demand", "nan", "demand must be >= 0, got nan"),
+            ("--c2", "inf", "c2=inf"),
+            ("--db", "nan", "got nan, nan"),
+        ],
+    )
+    def test_non_finite_input_exit_2(self, capsys, flag, value, named):
+        args = {"--c1": "4", "--c2": "11", "--demand": "8", "--alphas": "2,1"}
+        args[flag] = value
+        code = cli.main(["analyze", *[x for kv in args.items() for x in kv]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_no_equilibrium_near_saturation_exit_2(self, capsys):
         code = cli.main(
             ["analyze", "--c1", "4", "--c2", "11", "--demand", "14.9999999999",
@@ -170,11 +187,27 @@ class TestSimulateCommand:
             ("seed = 1", "seed = 1\nmax_handover_rounds = 0",
              "max_handover_rounds must be >= 1, got 0"),
             ("horizon = 200.0", "horizon = inf", "horizon must be finite, got inf"),
+            # Each ran at horizon 60 before it was rejected: an infinite
+            # rate never leaves the event loop, an infinite duration
+            # crashed, and the others ran with handovers off or a nan PoA.
+            ("arrival_rate = 3.0", "arrival_rate = inf",
+             "arrival_rate must be finite and >= 0, got inf"),
+            ("mean_duration = 4.0", "mean_duration = inf",
+             "mean_duration must be finite and > 0, got inf"),
+            ("throughput = 0.064", "throughput = nan",
+             "throughput must be finite and > 0, got nan"),
+            ("seed = 1", "seed = 1\nhandover_hysteresis = nan",
+             "handover_hysteresis must be finite and >= 0, got nan"),
+            ("seed = 1", "seed = 1\nhandover_hysteresis = inf",
+             "handover_hysteresis must be finite and >= 0, got inf"),
+            ("seed = 1", "seed = 1\nhandover_hysteresis = -1",
+             "handover_hysteresis must be finite and >= 0, got -1.0"),
         ],
     )
     def test_non_terminating_scenario_exit_2(self, tmp_path, capsys, old, new, named):
         scn = tmp_path / "scn.ini"
-        scn.write_text(DEFAULT_SCENARIO.replace(old, new))
+        text = DEFAULT_SCENARIO.replace(old, new, 1)
+        scn.write_text(text.replace("horizon = 200.0", "horizon = 60.0"))
         out = tmp_path / "trace.csv"
         assert cli.main(["simulate", "--scenario", str(scn), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
@@ -219,3 +252,17 @@ class TestInitCommand:
         path = tmp_path / "scenario.ini"
         assert cli.main(["init", "--out", str(path)]) == 0
         assert load_scenario(path) == parse_scenario(DEFAULT_SCENARIO)
+
+
+def test_entry_point_exits_with_the_command_status(tmp_path, monkeypatch):
+    # cli.entry is what the installed ``nettax`` console script calls.
+    path = tmp_path / "scenario.ini"
+    monkeypatch.setattr("sys.argv", ["nettax", "init", "--out", str(path)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 0
+    assert path.read_text() == DEFAULT_SCENARIO
+    monkeypatch.setattr("sys.argv", ["nettax", "sweep", "--jobs", "0"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 2

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nettax.analytics import NetworkPair, TaxVector
+from nettax.analytics import NetworkPair
 from nettax.simulator import (
     CLASS_A,
     CLASS_B,
@@ -81,11 +81,29 @@ def test_config_rejects_non_terminating_values(overrides, named):
     base_config(max_handover_rounds=1)
 
 
+@pytest.mark.parametrize("field", ["arrival_rate", "mean_duration", "throughput", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_class_profile_rejects_non_finite_fields(field, value):
+    kwargs = dict(arrival_rate=3.0, mean_duration=4.0, throughput=0.064, alpha=2.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite .*got {value}"):
+        ClassProfile(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_hysteresis_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match=f"handover_hysteresis .*got {value}"):
+        base_config(handover_hysteresis=value)
+
+
+def tax_under(policy: TaxPolicy, cfg: SimConfig, **counts) -> float:
+    return current_tax(state_with(dataclasses.replace(cfg, policy=policy), **counts))
+
+
 class TestCurrentTax:
     def test_none_policy(self):
         cfg = base_config()
-        state = state_with(cfg, n2b=40)  # load 7.36, above threshold
-        assert current_tax(TaxPolicy.NONE, state, cfg) == TaxVector(0, 0)
+        assert tax_under(TaxPolicy.NONE, cfg, n2b=40) == 0.0  # load 7.36, above threshold
 
     def test_optimal_policy_uses_true_class_b_load(self):
         # carried load 8 with class-B share 1: alpha_A branch
@@ -93,14 +111,12 @@ class TestCurrentTax:
             class_a=ClassProfile(3.0, 4.0, 7.0, 2.0),
             class_b=ClassProfile(4.5, 2.5, 1.0, 1.0),
         )
-        state = state_with(cfg, n1a=1, n2b=1)
-        taxes = current_tax(TaxPolicy.OPTIMAL, state, cfg)
-        assert taxes.tau2 == pytest.approx(0.075378, abs=1e-6)
+        tau2 = tax_under(TaxPolicy.OPTIMAL, cfg, n1a=1, n2b=1)
+        assert tau2 == pytest.approx(0.075378, abs=1e-6)
 
     def test_below_threshold_no_tax(self):
         cfg = base_config()
-        state = state_with(cfg, n2b=10)  # load 1.84
-        assert current_tax(TaxPolicy.OPTIMAL, state, cfg) == TaxVector(0, 0)
+        assert tax_under(TaxPolicy.OPTIMAL, cfg, n2b=10) == 0.0  # load 1.84
 
     def test_approx_policy_uses_average_class_b_load(self):
         cfg = base_config()
@@ -111,24 +127,24 @@ class TestCurrentTax:
             class_a=ClassProfile(3.0, 4.0, 1.0, 2.0),
             class_b=ClassProfile(4.5, 2.5, 1.0, 1.0),
         )
-        state = state_with(cfg2, n1a=1, n2b=7)  # true d_B = 7 > f2_opt
-        opt = current_tax(TaxPolicy.OPTIMAL, state, cfg2)
-        approx = current_tax(TaxPolicy.APPROX, state, cfg2)
+        counts = dict(n1a=1, n2b=7)  # true d_B = 7 > f2_opt
+        opt = tax_under(TaxPolicy.OPTIMAL, cfg2, **counts)
+        approx = tax_under(TaxPolicy.APPROX, cfg2, **counts)
         # estimate 4.5*2.5*1.0 = 11.25 > f2_opt too: branches agree here
         assert approx == opt
         # with a small-throughput profile the estimate flips the branch
         cfg3 = dataclasses.replace(cfg2, class_b=ClassProfile(4.5, 2.5, 1.0, 1.0))
-        state3 = state_with(cfg3, n1a=7, n2b=1)  # true d_B = 1 <= f2_opt
-        opt3 = current_tax(TaxPolicy.OPTIMAL, state3, cfg3)
-        approx3 = current_tax(TaxPolicy.APPROX, state3, cfg3)
-        assert approx3.tau2 > opt3.tau2  # wrong branch uses alpha_B
+        counts3 = dict(n1a=7, n2b=1)  # true d_B = 1 <= f2_opt
+        opt3 = tax_under(TaxPolicy.OPTIMAL, cfg3, **counts3)
+        approx3 = tax_under(TaxPolicy.APPROX, cfg3, **counts3)
+        assert approx3 > opt3  # wrong branch uses alpha_B
 
 
 class TestChooseNetwork:
     def test_empty_system_prefers_large_network(self):
         cfg = base_config()
         state = state_with(cfg)
-        assert choose_network(state, CLASS_B, TaxVector(0, 0), NET) == 2
+        assert choose_network(state, CLASS_B, 0.0) == 2
 
     def test_capacity_exclusion(self):
         cfg = base_config(
@@ -138,7 +154,7 @@ class TestChooseNetwork:
         # network 2 carries 10.948 already; +0.184 would hit 11.132 >= 11
         state = state_with(cfg, n2b=59, n2a=1)
         assert state.loads[2] == pytest.approx(10.956)
-        assert choose_network(state, CLASS_B, TaxVector(0, 0), NET) == 1
+        assert choose_network(state, CLASS_B, 0.0) == 1
 
     def test_blocked_when_both_full(self):
         cfg = base_config(
@@ -146,35 +162,41 @@ class TestChooseNetwork:
             class_b=ClassProfile(4.5, 2.5, 0.9, 1.0),
         )
         state = state_with(cfg, n1a=7, n2b=12)  # carried (3.5, 10.8)
-        assert choose_network(state, CLASS_B, TaxVector(0, 0), NET) is None
+        assert choose_network(state, CLASS_B, 0.0) is None
         # class A (0.5) still fits on network 2: 10.8 + 0.5 < 11 is false,
         # but on network 1: 3.5 + 0.5 >= 4, so A is blocked as well
-        assert choose_network(state, CLASS_A, TaxVector(0, 0), NET) is None
+        assert choose_network(state, CLASS_A, 0.0) is None
 
     def test_tax_steers_price_averse_class(self):
         cfg = base_config()
         state = state_with(cfg)
-        heavy = TaxVector(0, 10.0)
-        assert choose_network(state, CLASS_A, heavy, NET) == 1
+        assert choose_network(state, CLASS_A, 10.0) == 1
         # class B is delay-driven: even a big tax leaves network 2 cheaper
         # only if the tax is small enough; at tau2=10 it also flips
-        assert choose_network(state, CLASS_B, heavy, NET) == 1
+        assert choose_network(state, CLASS_B, 10.0) == 1
+
+    def test_exact_tie_goes_to_network_2(self):
+        cfg = base_config(class_b=ClassProfile(4.5, 2.5, 1.0, 1.0))
+        state = state_with(cfg, n2b=7)
+        # Both delays are 1/3.0: 1/(11 - 8.0) on network 2, 1/(4 - 1.0) on 1.
+        assert 1 / (NET.c2 - (state.loads[2] + 1.0)) == 1 / (NET.c1 - 1.0)
+        assert choose_network(state, CLASS_B, 0.0) == 2
 
 
 class TestHandoverRelaxation:
     def test_fixed_point_makes_no_switch(self):
         cfg = base_config()
         state = state_with(cfg, n2a=5, n2b=5)
-        switches, converged = handover_relaxation(state, TaxVector(0, 0), cfg)
+        switches, converged = handover_relaxation(state, 0.0)
         assert switches == 0 and converged
 
     def test_lone_user_drains_to_the_large_network(self):
         cfg = base_config()
         state = state_with(cfg, n1a=1)
-        switches, converged = handover_relaxation(state, TaxVector(0, 0), cfg)
+        switches, converged = handover_relaxation(state, 0.0)
         assert (switches, converged) == (1, True)
-        assert state.counts[(2, CLASS_A)] == 1
-        assert state.counts[(1, CLASS_A)] == 0
+        assert len(state.groups[(2, CLASS_A)]) == 1
+        assert len(state.groups[(1, CLASS_A)]) == 0
 
     def test_post_tax_drop_drains_network_1(self):
         # users parked on network 1 while a tax was active migrate back
@@ -182,25 +204,22 @@ class TestHandoverRelaxation:
         cfg = base_config()
         state = state_with(cfg, n1a=20, n2b=5)  # load 1.28 + 0.92 = 2.2
         assert state.total_load() < NET.tax_threshold()
-        switches, converged = handover_relaxation(state, TaxVector(0, 0), cfg)
+        switches, converged = handover_relaxation(state, 0.0)
         assert converged
-        assert state.counts[(1, CLASS_A)] == 0
+        assert len(state.groups[(1, CLASS_A)]) == 0
         assert switches == 20
 
     def test_no_profitable_switch_after_convergence(self):
         cfg = base_config()
         state = state_with(cfg, n1a=30, n1b=10, n2a=10, n2b=30)
-        taxes = TaxVector(0, 0.05)
-        _, converged = handover_relaxation(state, taxes, cfg)
+        _, converged = handover_relaxation(state, 0.05)
         assert converged
         from oracles import wants_switch
 
         for cls in (CLASS_A, CLASS_B):
             for p in (1, 2):
-                if state.counts[(p, cls)]:
-                    assert not wants_switch(
-                        state, cls, p, taxes, cfg.handover_hysteresis
-                    )
+                if state.groups[(p, cls)]:
+                    assert not wants_switch(state, cls, p, 0.05, cfg.handover_hysteresis)
 
 
 class TestRun:
@@ -338,6 +357,10 @@ class TestSweep:
         points = [(0.6, 0.0), (0.7, 0.005), (0.8, 0.015)]
         assert blocking_crossing(points, 0.01) == pytest.approx(0.75)
         assert blocking_crossing(points, 0.05) is None
+        # A first point already at the level is the crossing, whatever the
+        # curve does later.
+        dip = [(0.1, 0.02), (0.2, 0.0), (0.3, 0.02)]
+        assert blocking_crossing(dip, 0.01) == 0.1
 
     def test_pooled_blocking_by_load(self):
         base = base_config(horizon=20.0, warmup=2.0)
