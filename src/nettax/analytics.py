@@ -177,10 +177,9 @@ def optimal_assignment(net: NetworkPair, demand_total: float) -> FlowAssignment:
     return FlowAssignment(*_optimal_split(net, demand_total))
 
 
-def optimal_cost(net: NetworkPair, demand_total: float) -> float:
-    """Minimum achievable total delay for the given demand."""
-    _check_demand(net, demand_total)
-    if demand_total <= net.tax_threshold():
+def _optimal_cost(net: NetworkPair, demand_total: float) -> float:
+    """Minimum total delay for a demand the caller has already checked."""
+    if demand_total <= net._tax_threshold:
         if demand_total == 0:
             return 0.0
         return demand_total / (net.c2 - demand_total)
@@ -188,6 +187,12 @@ def optimal_cost(net: NetworkPair, demand_total: float) -> float:
     return (2.0 * demand_total - net.c1 - net.c2 + 2.0 * root) / (
         net.c1 + net.c2 - demand_total
     )
+
+
+def optimal_cost(net: NetworkPair, demand_total: float) -> float:
+    """Minimum achievable total delay for the given demand."""
+    _check_demand(net, demand_total)
+    return _optimal_cost(net, demand_total)
 
 
 def _tau2(

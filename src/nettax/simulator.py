@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .analytics import NetworkPair, _tau2, delay, link_cost, optimal_cost
+from .analytics import NetworkPair, _optimal_cost, _tau2, link_cost
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -163,7 +163,10 @@ class SystemState:
         raise KeyError(sid)
 
     def move(self, sid: int, cls: str, q: int) -> None:
-        self.remove(sid, cls)
+        """Move session ``sid`` of class ``cls`` from network 3 - q to q."""
+        group = self.groups[(3 - q, cls)]
+        del group[bisect.bisect_left(group, sid)]
+        self._refresh(3 - q)
         self.admit(sid, cls, q)
 
 
@@ -183,21 +186,23 @@ def current_tax(state: SystemState) -> float:
         d_b = state.class_load(CLASS_B)
     else:
         d_b = cfg.class_b.offered_load
-    tau2, _ = _tau2(cfg.net, state.total_load(), d_b, cfg.class_a.alpha, cfg.class_b.alpha)
+    loads = state.loads
+    tau2, _ = _tau2(cfg.net, loads[1] + loads[2], d_b, cfg.class_a.alpha, cfg.class_b.alpha)
     return tau2
 
 
 def choose_network(state: SystemState, cls: str, tau2: float) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
-    when both are full. Ties go to network 2, the larger one."""
+    when both are full. Ties go to network 2, the larger one. A network is
+    a candidate only when f < c, so its latency 1 / (c - f) is finite."""
     eps, alpha = state.profiles[cls]
     net, loads = state.cfg.net, state.loads
     best, best_cost = None, math.inf
     load = loads[2] + eps
     if load < net.c2:
-        best, best_cost = 2, delay(net.c2, load) + alpha * tau2
+        best, best_cost = 2, 1.0 / (net.c2 - load) + alpha * tau2
     load = loads[1] + eps
-    if load < net.c1 and delay(net.c1, load) < best_cost:
+    if load < net.c1 and 1.0 / (net.c1 - load) < best_cost:
         best = 1
     return best
 
@@ -208,24 +213,23 @@ def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
     network. All sessions of a group face identical costs, so the switch
     decision is a per-group predicate, not a per-session one. The latency
     of staying on a network is the same for both classes, so one call
-    costs at most 6 ``delay``s."""
-    net, loads, groups = state.cfg.net, state.loads, state.groups
-    hysteresis = state.cfg.handover_hysteresis
-    stay1, stay2 = delay(net.c1, loads[1]), delay(net.c2, loads[2])
+    computes at most 6 latencies 1 / (c - f), written out as in ``delay``:
+    a move needs ``moved < c``, and staying at capacity costs +inf."""
+    cfg, loads, groups, profiles = state.cfg, state.loads, state.groups, state.profiles
+    c1, c2, hysteresis = cfg.net.c1, cfg.net.c2, cfg.handover_hysteresis
+    load1, load2 = loads[1], loads[2]
+    stay1 = 1.0 / (c1 - load1) if load1 < c1 else math.inf
+    stay2 = 1.0 / (c2 - load2) if load2 < c2 else math.inf
     out = []
     for cls in (CLASS_A, CLASS_B):
-        eps, alpha = state.profiles[cls]
+        eps, alpha = profiles[cls]
         if groups[(1, cls)]:
-            moved = loads[2] + eps
-            if moved < net.c2 and (
-                delay(net.c2, moved) + alpha * tau2 < stay1 - hysteresis
-            ):
+            moved = load2 + eps
+            if moved < c2 and 1.0 / (c2 - moved) + alpha * tau2 < stay1 - hysteresis:
                 out.append((1, cls))
         if groups[(2, cls)]:
-            moved = loads[1] + eps
-            if moved < net.c1 and (
-                delay(net.c1, moved) < stay2 + alpha * tau2 - hysteresis
-            ):
+            moved = load1 + eps
+            if moved < c1 and 1.0 / (c1 - moved) < stay2 + alpha * tau2 - hysteresis:
                 out.append((2, cls))
     return out
 
@@ -242,14 +246,20 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     lowest sid above the cursor among them, set the cursor to that sid,
     and repeat until no group yields one. The sessions it jumps over sit
     in groups that do not want to switch, and a session moved earlier in
-    the sweep now lies at or below the cursor. This is the same sequence of moves as
-    visiting every session in ascending sid. When the last step of a sweep
-    finds no group that wants to switch at all, the next sweep would move
-    no one, so the relaxation returns without making it.
+    the sweep now lies at or below the cursor. This is the same sequence of
+    moves as visiting every session in ascending sid. Each state is judged
+    once: the next sweep starts from the answer that ended the last one,
+    and when nobody wants to switch up front, the common case, the
+    relaxation returns (0, True) before it computes the round cap. When
+    the last step of a sweep finds no group that wants to switch at all,
+    the next sweep would move no one, so the relaxation returns.
 
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
     """
+    wanting = _switching_groups(state, tau2)
+    if not wanting:
+        return 0, True
     groups = state.groups
     cap = state.cfg.max_handover_rounds
     if cap is None:
@@ -260,17 +270,17 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
         cursor = -math.inf
         while True:
             nxt = None
-            wanting = _switching_groups(state, tau2)
             for p, cls in wanting:
                 sids = groups[(p, cls)]
                 i = bisect.bisect_right(sids, cursor)
                 if i < len(sids) and (nxt is None or sids[i] < nxt):
-                    nxt, moving, q = sids[i], cls, 2 if p == 1 else 1
+                    nxt, moving, q = sids[i], cls, 3 - p
             if nxt is None:
                 break
             state.move(nxt, moving, q)
             cursor = nxt
             switched += 1
+            wanting = _switching_groups(state, tau2)
         total += switched
         if not wanting:
             # The next sweep would move no one: a fixed point, unless this
@@ -355,70 +365,69 @@ def simulate(
     [warmup, horizon].
     """
     rng = random.Random(str(cfg.seed))
+    expovariate = rng.expovariate
     state = SystemState(cfg)
     blocking = BlockingStats()
     warnings = events = 0
+    warmup, horizon, net = cfg.warmup, cfg.horizon, cfg.net
+    c1, c2 = net.c1, net.c2
 
     # (t, sid, cls): (t, sid) is unique, so cls never decides the order.
     departures: list[tuple[float, int, str]] = []
     next_sid = 0
-    next_arrival = {}
-    for cls in (CLASS_A, CLASS_B):
-        lam = cfg.profile(cls).arrival_rate
-        next_arrival[cls] = rng.expovariate(lam) if lam > 0 else math.inf
+    # cls -> the arguments of its two draws: arrival rate, 1 / mean duration.
+    rates = {c: (cfg.profile(c).arrival_rate, 1.0 / cfg.profile(c).mean_duration)
+             for c in (CLASS_A, CLASS_B)}
+    next_arrival = {c: expovariate(lam) if lam > 0 else math.inf
+                    for c, (lam, _) in rates.items()}
 
-    loads, groups, net = state.loads, state.groups, cfg.net
+    loads = state.loads
+    # The lists of groups 1A, 1B, 2A, 2B, which the state updates in place.
+    n1a, n1b, n2a, n2b = state.groups.values()
 
     poa = 1.0
     clock = 0.0
     tau2 = current_tax(state)
     poa_integral = 0.0
 
-    def advance(to: float) -> None:
-        nonlocal poa_integral, clock
-        lo = max(clock, cfg.warmup)
-        hi = min(to, cfg.horizon)
-        if hi > lo:
-            poa_integral += poa * (hi - lo)
-        clock = to
-
     while True:
         t_dep = departures[0][0] if departures else math.inf
-        t = min(next_arrival[CLASS_A], next_arrival[CLASS_B], t_dep)
-        if t > cfg.horizon or t == math.inf:
-            advance(cfg.horizon)
+        t_a, t_b = next_arrival[CLASS_A], next_arrival[CLASS_B]
+        t = min(t_a, t_b, t_dep)
+        if t > horizon:
             break
-        advance(t)
+        # Integrate the PoA in force since the last event over [warmup, t].
+        lo = warmup if warmup > clock else clock
+        if t > lo:
+            poa_integral += poa * (t - lo)
+        clock = t
 
-        changed = False
-        if t_dep <= next_arrival[CLASS_A] and t_dep <= next_arrival[CLASS_B]:
+        changed = True
+        if t_dep <= t_a and t_dep <= t_b:
             _, sid, cls = heapq.heappop(departures)
             state.remove(sid, cls)
             event = "dep" + cls
-            changed = True
         else:
-            cls = CLASS_A if next_arrival[CLASS_A] <= next_arrival[CLASS_B] else CLASS_B
-            prof = cfg.profile(cls)
+            cls = CLASS_A if t_a <= t_b else CLASS_B
+            lam, mu = rates[cls]
             # Fixed draw order (inter-arrival, then duration), consumed even
             # for blocked arrivals: keeps streams aligned across policies.
-            next_arrival[cls] = t + rng.expovariate(prof.arrival_rate)
-            duration = rng.expovariate(1.0 / prof.mean_duration)
-            in_window = t >= cfg.warmup
+            next_arrival[cls] = t + expovariate(lam)
+            duration = expovariate(mu)
+            in_window = t >= warmup
             blocking.arrivals[cls] += 1
-            if in_window:
-                blocking.measured_arrivals += 1
+            blocking.measured_arrivals += in_window
             p = choose_network(state, cls, tau2)
             if p is None:
                 blocking.blocked[cls] += 1
-                if in_window:
-                    blocking.measured_blocked += 1
+                blocking.measured_blocked += in_window
                 event = "blk" + cls
+                changed = False
             else:
                 state.admit(next_sid, cls, p)
                 heapq.heappush(departures, (t + duration, next_sid, cls))
                 next_sid += 1
                 event = "arr" + cls
-                changed = True
 
         if changed:
             if cfg.handovers:
@@ -428,21 +437,23 @@ def simulate(
             tau2 = current_tax(state)
 
         events += 1
-        load = loads[1] + loads[2]
+        load1, load2 = loads[1], loads[2]
+        load = load1 + load2
         if load == 0:
             cost = cost_opt = 0.0
             poa = 1.0
         else:
-            cost = link_cost(net.c1, loads[1]) + link_cost(net.c2, loads[2])
-            cost_opt = optimal_cost(net, load)
+            cost = link_cost(c1, load1) + link_cost(c2, load2)
+            cost_opt = _optimal_cost(net, load)
             poa = cost / cost_opt
         if sink is not None:
-            # groups holds the lists in the order 1A, 1B, 2A, 2B.
-            sink(
-                Sample(t, load, tau2, cost, cost_opt, poa, *map(len, groups.values()), event)
-            )
+            sink(Sample(t, load, tau2, cost, cost_opt, poa,
+                        len(n1a), len(n1b), len(n2a), len(n2b), event))
 
-    avg_poa = poa_integral / (cfg.horizon - cfg.warmup)
+    lo = warmup if warmup > clock else clock
+    if horizon > lo:
+        poa_integral += poa * (horizon - lo)
+    avg_poa = poa_integral / (horizon - warmup)
     return blocking, SimSummary(avg_poa, warnings, events)
 
 

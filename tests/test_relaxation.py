@@ -5,7 +5,8 @@ lists of ``SystemState``. ``reference_relaxation`` visits every session in
 ascending sid. On random states they must make the same moves, return the
 same result, and, when converged, leave no group that gains by switching.
 ``_switching_groups``, which asks all four groups at once, must name the
-same groups as the one-group predicate ``oracles.wants_switch``.
+same groups as the one-group predicate ``oracles.wants_switch``, and a
+relaxation asks it once per state it reaches: 1 + switches times.
 
 ``SystemState`` keeps the per-group sid lists, its one record of who is
 where, and the carried loads up to date itself. ``CheckedState`` requires
@@ -182,3 +183,36 @@ def test_group_lists_track_sessions_through_a_run(monkeypatch):
         workloads.trace_auditor(cfg), workloads.trace_rows(trace),
         trace.summary.avg_poa, trace.blocking.rate, "seed 3",
     ) == []
+
+
+def test_each_relaxation_asks_once_per_state(monkeypatch):
+    # _switching_groups is asked once up front and once after each move,
+    # never again for a state it has already judged: a relaxation asks
+    # 1 + switches times, however many sweeps it makes. This seed has
+    # relaxations whose moves take more than one sweep.
+    asked = []
+    original = simulator._switching_groups
+
+    def counted(state, tau2):
+        asked[-1] += 1
+        return original(state, tau2)
+
+    def recorded(state, tau2):
+        asked.append(0)
+        switches, converged = handover_relaxation(state, tau2)
+        assert asked[-1] == 1 + switches
+        return switches, converged
+
+    monkeypatch.setattr(simulator, "_switching_groups", counted)
+    monkeypatch.setattr(simulator, "handover_relaxation", recorded)
+    cfg = SimConfig(
+        net=NetworkPair(4.0, 11.0),
+        class_a=ClassProfile(11.0, 4.0, 0.064, 2.0),
+        class_b=ClassProfile(16.5, 2.5, 0.184, 1.0),
+        handovers=True,
+        policy=TaxPolicy.NONE,
+        horizon=20.0,
+        seed=0,
+    )
+    run(cfg)
+    assert len(asked) > 1000

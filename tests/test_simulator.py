@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from nettax import simulator
 from nettax.analytics import NetworkPair
 from nettax.simulator import (
     CLASS_A,
@@ -183,20 +184,41 @@ class TestChooseNetwork:
         assert choose_network(state, CLASS_B, 0.0) == 2
 
 
+def count_switching_groups(monkeypatch) -> list:
+    """Record each call of ``simulator._switching_groups`` made through
+    ``handover_relaxation``; returns the list of calls."""
+    calls = []
+    original = simulator._switching_groups
+
+    def counted(state, tau2):
+        calls.append(tau2)
+        return original(state, tau2)
+
+    monkeypatch.setattr(simulator, "_switching_groups", counted)
+    return calls
+
+
 class TestHandoverRelaxation:
-    def test_fixed_point_makes_no_switch(self):
+    def test_fixed_point_makes_no_switch(self, monkeypatch):
         cfg = base_config()
         state = state_with(cfg, n2a=5, n2b=5)
+        calls = count_switching_groups(monkeypatch)
         switches, converged = handover_relaxation(state, 0.0)
         assert switches == 0 and converged
+        # A fixed point is found by one question, before any sweep.
+        assert len(calls) == 1
 
-    def test_lone_user_drains_to_the_large_network(self):
+    def test_lone_user_drains_to_the_large_network(self, monkeypatch):
         cfg = base_config()
         state = state_with(cfg, n1a=1)
+        calls = count_switching_groups(monkeypatch)
         switches, converged = handover_relaxation(state, 0.0)
         assert (switches, converged) == (1, True)
         assert len(state.groups[(2, CLASS_A)]) == 1
         assert len(state.groups[(1, CLASS_A)]) == 0
+        # One question up front and one after the move, which finds no
+        # group that wants to switch: no second sweep asks again.
+        assert len(calls) == 2
 
     def test_post_tax_drop_drains_network_1(self):
         # users parked on network 1 while a tax was active migrate back
