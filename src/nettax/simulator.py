@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
-from .analytics import NetworkPair, _optimal_cost, _tau2, link_cost
+from .analytics import NetworkPair, _optimal_cost, _tau2
 
 CLASS_A = "A"
 CLASS_B = "B"
@@ -55,9 +55,7 @@ class ClassProfile:
     def __post_init__(self):
         # Written so that nan fails every test; inf has no meaning here.
         if not 0 <= self.arrival_rate < math.inf:
-            raise ValueError(
-                f"arrival_rate must be finite and >= 0, got {self.arrival_rate}"
-            )
+            raise ValueError(f"arrival_rate must be finite and >= 0, got {self.arrival_rate}")
         for name in ("mean_duration", "throughput", "alpha"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -120,6 +118,10 @@ class SystemState:
     from the group sizes as n_pA * eps_A + n_pB * eps_B, so it has the same
     bits as recomputing it and no floating-point drift can accumulate.
     ``profiles`` maps each class to its (throughput, alpha).
+
+    A session joins network p only if it ``fits``: ``loads[p] + eps < c_p``
+    can hold while the load then stored rounds to exactly c_p. Below
+    ``bands[p]``, 1e-12 short of c_p, it always fits: one comparison.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -131,6 +133,8 @@ class SystemState:
             c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
         }
         self.loads = {1: 0.0, 2: 0.0}
+        self.caps = {1: cfg.net.c1, 2: cfg.net.c2}
+        self.bands = {p: c * (1.0 - 1e-12) for p, c in self.caps.items()}
 
     def total_load(self) -> float:
         return self.loads[1] + self.loads[2]
@@ -145,6 +149,16 @@ class SystemState:
             len(groups[(p, CLASS_A)]) * profiles[CLASS_A][0]
             + len(groups[(p, CLASS_B)]) * profiles[CLASS_B][0]
         )
+
+    def fits(self, cls: str, p: int) -> bool:
+        """Whether network p has room for one more class-``cls`` session:
+        both its load plus the session's and the load ``_refresh`` would
+        then store are below capacity."""
+        groups, profiles, cap = self.groups, self.profiles, self.caps[p]
+        n_a = len(groups[(p, CLASS_A)]) + (cls == CLASS_A)
+        n_b = len(groups[(p, CLASS_B)]) + (cls == CLASS_B)
+        return (self.loads[p] + profiles[cls][0] < cap
+                and n_a * profiles[CLASS_A][0] + n_b * profiles[CLASS_B][0] < cap)
 
     def admit(self, sid: int, cls: str, p: int) -> None:
         bisect.insort(self.groups[(p, cls)], sid)
@@ -186,23 +200,22 @@ def current_tax(state: SystemState) -> float:
         d_b = state.class_load(CLASS_B)
     else:
         d_b = cfg.class_b.offered_load
-    loads = state.loads
-    tau2, _ = _tau2(cfg.net, loads[1] + loads[2], d_b, cfg.class_a.alpha, cfg.class_b.alpha)
+    tau2, _ = _tau2(cfg.net, state.total_load(), d_b, cfg.class_a.alpha, cfg.class_b.alpha)
     return tau2
 
 
 def choose_network(state: SystemState, cls: str, tau2: float) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
     when both are full. Ties go to network 2, the larger one. A network is
-    a candidate only when f < c, so its latency 1 / (c - f) is finite."""
+    a candidate only if it has room (``SystemState.fits``), so f < c."""
     eps, alpha = state.profiles[cls]
-    net, loads = state.cfg.net, state.loads
+    net, loads, bands = state.cfg.net, state.loads, state.bands
     best, best_cost = None, math.inf
     load = loads[2] + eps
-    if load < net.c2:
+    if load < bands[2] or state.fits(cls, 2):
         best, best_cost = 2, 1.0 / (net.c2 - load) + alpha * tau2
     load = loads[1] + eps
-    if load < net.c1 and 1.0 / (net.c1 - load) < best_cost:
+    if (load < bands[1] or state.fits(cls, 1)) and 1.0 / (net.c1 - load) < best_cost:
         best = 1
     return best
 
@@ -214,10 +227,12 @@ def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
     decision is a per-group predicate, not a per-session one. The latency
     of staying on a network is the same for both classes, so one call
     computes at most 6 latencies 1 / (c - f), written out as in ``delay``:
-    a move needs ``moved < c``, and staying at capacity costs +inf."""
+    a move needs room on the target (``SystemState.fits``), and staying at
+    capacity costs +inf."""
     cfg, loads, groups, profiles = state.cfg, state.loads, state.groups, state.profiles
     c1, c2, hysteresis = cfg.net.c1, cfg.net.c2, cfg.handover_hysteresis
     load1, load2 = loads[1], loads[2]
+    band1, band2 = state.bands[1], state.bands[2]
     stay1 = 1.0 / (c1 - load1) if load1 < c1 else math.inf
     stay2 = 1.0 / (c2 - load2) if load2 < c2 else math.inf
     out = []
@@ -225,11 +240,15 @@ def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
         eps, alpha = profiles[cls]
         if groups[(1, cls)]:
             moved = load2 + eps
-            if moved < c2 and 1.0 / (c2 - moved) + alpha * tau2 < stay1 - hysteresis:
+            if (moved < band2 or state.fits(cls, 2)) and (
+                1.0 / (c2 - moved) + alpha * tau2 < stay1 - hysteresis
+            ):
                 out.append((1, cls))
         if groups[(2, cls)]:
             moved = load1 + eps
-            if moved < c1 and 1.0 / (c1 - moved) < stay2 + alpha * tau2 - hysteresis:
+            if (moved < band1 or state.fits(cls, 1)) and (
+                1.0 / (c1 - moved) < stay2 + alpha * tau2 - hysteresis
+            ):
                 out.append((2, cls))
     return out
 
@@ -247,12 +266,10 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     and repeat until no group yields one. The sessions it jumps over sit
     in groups that do not want to switch, and a session moved earlier in
     the sweep now lies at or below the cursor. This is the same sequence of
-    moves as visiting every session in ascending sid. Each state is judged
-    once: the next sweep starts from the answer that ended the last one,
-    and when nobody wants to switch up front, the common case, the
-    relaxation returns (0, True) before it computes the round cap. When
-    the last step of a sweep finds no group that wants to switch at all,
-    the next sweep would move no one, so the relaxation returns.
+    moves as visiting every session in ascending sid. Each state is asked
+    about once: a sweep starts from the answer that ended the last one, and
+    if no one wants to switch up front it returns (0, True) at once. When a
+    sweep ends with no group wanting to switch, the relaxation returns.
 
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
@@ -381,9 +398,7 @@ def simulate(
     next_arrival = {c: expovariate(lam) if lam > 0 else math.inf
                     for c, (lam, _) in rates.items()}
 
-    loads = state.loads
-    # The lists of groups 1A, 1B, 2A, 2B, which the state updates in place.
-    n1a, n1b, n2a, n2b = state.groups.values()
+    loads, groups = state.loads, state.groups
 
     poa = 1.0
     clock = 0.0
@@ -443,12 +458,13 @@ def simulate(
             cost = cost_opt = 0.0
             poa = 1.0
         else:
-            cost = link_cost(c1, load1) + link_cost(c2, load2)
+            # link_cost written out: each load stays below its capacity.
+            cost = load1 * (1.0 / (c1 - load1)) + load2 * (1.0 / (c2 - load2))
             cost_opt = _optimal_cost(net, load)
             poa = cost / cost_opt
         if sink is not None:
-            sink(Sample(t, load, tau2, cost, cost_opt, poa,
-                        len(n1a), len(n1b), len(n2a), len(n2b), event))
+            # groups holds the lists in the order 1A, 1B, 2A, 2B.
+            sink(Sample(t, load, tau2, cost, cost_opt, poa, *map(len, groups.values()), event))
 
     lo = warmup if warmup > clock else clock
     if horizon > lo:

@@ -12,7 +12,8 @@ relaxation asks it once per state it reaches: 1 + switches times.
 where, and the carried loads up to date itself. ``CheckedState`` requires
 after every ``admit``, ``remove`` and ``move`` that the four lists be
 strictly ascending and pairwise disjoint, and that the loads have the bits
-of a recomputation from the group sizes.
+of a recomputation from the group sizes; after every ``admit`` and ``move``
+each load must also stay below its network's capacity.
 """
 
 import itertools
@@ -56,10 +57,16 @@ def assert_groups_consistent(state: SystemState) -> None:
         assert state.class_load(cls) == (n[(1, cls)] + n[(2, cls)]) * eps[cls]
 
 
+def assert_below_capacity(state: SystemState) -> None:
+    assert state.loads[1] < state.cfg.net.c1
+    assert state.loads[2] < state.cfg.net.c2
+
+
 class CheckedState(SystemState):
     def admit(self, sid, cls, p):
         super().admit(sid, cls, p)
         assert_groups_consistent(self)
+        assert_below_capacity(self)
 
     def remove(self, sid, cls):
         result = super().remove(sid, cls)
@@ -69,6 +76,7 @@ class CheckedState(SystemState):
     def move(self, sid, cls, q):
         super().move(sid, cls, q)
         assert_groups_consistent(self)
+        assert_below_capacity(self)
 
 
 @st.composite

@@ -168,6 +168,21 @@ class TestChooseNetwork:
         # but on network 1: 3.5 + 0.5 >= 4, so A is blocked as well
         assert choose_network(state, CLASS_A, 0.0) is None
 
+    def test_no_admission_fills_a_network_to_capacity(self):
+        cfg = base_config()
+        # Network 1 has no room for class B: 62 * 0.064 + 0.184 >= 4.
+        state = state_with(cfg, n1a=62, n2a=54, n2b=40)
+        # One more B passes loads[2] + eps < c2, but the load the state
+        # would store, 54 * 0.064 + 41 * 0.184, is exactly c2: a saturated
+        # network with infinite delay. The arrival is blocked instead.
+        assert state.loads[2] + 0.184 < NET.c2
+        assert 54 * 0.064 + 41 * 0.184 == NET.c2
+        assert not state.fits(CLASS_B, 2)
+        assert choose_network(state, CLASS_B, 0.0) is None
+        # Class A still fits on network 2 there, with its own flow included.
+        assert state.fits(CLASS_A, 2)
+        assert choose_network(state, CLASS_A, 0.0) == 2
+
     def test_tax_steers_price_averse_class(self):
         cfg = base_config()
         state = state_with(cfg)
@@ -266,6 +281,17 @@ class TestRun:
         assert tuple(s) == tuple(getattr(s, f) for f in fields)
         assert repr(s) == "Sample(" + ", ".join(
             f"{f}={getattr(s, f)!r}" for f in fields) + ")"
+
+    def test_no_handover_run_near_capacity_keeps_poa_finite(self):
+        # Load 0.9 without handovers: this replication of the default
+        # scenario used to admit a session that saturated network 2.
+        base = base_config(horizon=200.0, warmup=40.0, seed=1)
+        cfg = replication_config(base, 0.9, 2 / 3, TaxPolicy.NONE, False, 1)
+        trace = run(cfg)
+        assert max(s.n2b for s in trace.samples) > 0
+        assert all(math.isfinite(s.poa) for s in trace.samples)
+        assert math.isfinite(trace.summary.avg_poa)
+        assert trace.blocking.measured_blocked > 0
 
     @pytest.mark.parametrize("policy", list(TaxPolicy))
     @pytest.mark.parametrize("handovers", [True, False])
