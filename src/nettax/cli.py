@@ -42,19 +42,12 @@ def _cmd_analyze(args) -> int:
     c_opt = analytics.optimal_cost(net, demand_total)
     threshold = net.tax_threshold()
 
-    lines = [
-        ("c1", _fmt(net.c1)),
-        ("c2", _fmt(net.c2)),
-        ("D", _fmt(demand_total)),
-        ("threshold", _fmt(threshold)),
-        ("f_WE_1", _fmt(f_we.f1)),
-        ("f_WE_2", _fmt(f_we.f2)),
-        ("f_opt_1", _fmt(f_opt.f1)),
-        ("f_opt_2", _fmt(f_opt.f2)),
-        ("C_WE", _fmt(c_we)),
-        ("C_opt", _fmt(c_opt)),
-        ("PoA_no_tax", _fmt(c_we / c_opt) if c_opt > 0 else "1"),
-    ]
+    lines = [(key, _fmt(value)) for key, value in (
+        ("c1", net.c1), ("c2", net.c2), ("D", demand_total), ("threshold", threshold),
+        ("f_WE_1", f_we.f1), ("f_WE_2", f_we.f2), ("f_opt_1", f_opt.f1), ("f_opt_2", f_opt.f2),
+        ("C_WE", c_we), ("C_opt", c_opt),
+    )]
+    lines.append(("PoA_no_tax", _fmt(c_we / c_opt) if c_opt > 0 else "1"))
 
     if args.db is not None:
         if args.db > demand_total:

@@ -177,18 +177,8 @@ def _candidate_splits(
 
     out = []
     for f1_x, f1_y in cands:
-        if t_a >= t_b:
-            f1_a, f1_b = f1_x, f1_y
-        else:
-            f1_a, f1_b = f1_y, f1_x
-        out.append(
-            ClassFlowSplit(
-                f1_a=f1_a,
-                f1_b=f1_b,
-                f2_a=max(dem.d_a - f1_a, 0.0),
-                f2_b=max(dem.d_b - f1_b, 0.0),
-            )
-        )
+        f1_a, f1_b = (f1_x, f1_y) if t_a >= t_b else (f1_y, f1_x)
+        out.append(ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
     return out
 
 
@@ -219,12 +209,9 @@ def taxed_equilibrium(
     if dtau == 0:
         agg = wardrop_no_tax(net, demand_total)
         share_a = dem.d_a / demand_total
-        split = ClassFlowSplit(
-            f1_a=agg.f1 * share_a,
-            f1_b=agg.f1 * (1.0 - share_a),
-            f2_a=agg.f2 * share_a,
-            f2_b=agg.f2 * (1.0 - share_a),
-        )
+        share_b = 1.0 - share_a
+        f1, f2 = agg.f1, agg.f2
+        split = ClassFlowSplit(f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b)
         return _report(net, sens, taxes, split, tol)
 
     t_a = sens.alpha_a * dtau

@@ -102,13 +102,9 @@ def _parse_float(section, key: str, name: str) -> float:
 
 
 def _parse_profile(section, name: str) -> ClassProfile:
+    keys = ("arrival_rate", "mean_duration", "throughput", "alpha")
     try:
-        return ClassProfile(
-            arrival_rate=_parse_float(section, "arrival_rate", name),
-            mean_duration=_parse_float(section, "mean_duration", name),
-            throughput=_parse_float(section, "throughput", name),
-            alpha=_parse_float(section, "alpha", name),
-        )
+        return ClassProfile(*(_parse_float(section, key, name) for key in keys))
     except ValueError as exc:
         raise ScenarioError(f"section [{name}]: {exc}") from exc
 

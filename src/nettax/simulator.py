@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import os
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -563,14 +564,18 @@ def sweep_load(
         for i in range(replications)
     ]
     if max_workers is None:
-        import os
-
         max_workers = os.cpu_count() or 1
     if max_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # Heaviest first (Graham's LPT rule): a run costs more the higher
+        # its load, so the highest loads go first; results go back by index.
+        order = sorted(range(len(jobs)), key=lambda k: cells[k // replications][0], reverse=True)
+        results = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_run_cell_replication, jobs, chunksize=1))
+            runs = pool.map(_run_cell_replication, [jobs[k] for k in order], chunksize=1)
+            for k, result in zip(order, runs):
+                results[k] = result
     else:
         results = [_run_cell_replication(cfg) for cfg in jobs]
 
@@ -586,18 +591,8 @@ def sweep_load(
             se = math.sqrt(var / replications)
         else:
             se = 0.0
-        rows.append(
-            SweepRow(
-                load=load,
-                policy=policy,
-                handovers=handover,
-                mean_poa=mean,
-                se_poa=se,
-                blocking_rate=blocked / arrivals if arrivals else 0.0,
-                replications=replications,
-                poa_values=poas,
-            )
-        )
+        rate = blocked / arrivals if arrivals else 0.0
+        rows.append(SweepRow(load, policy, handover, mean, se, rate, replications, poas))
     return rows
 
 
@@ -610,11 +605,7 @@ def pooled_blocking_by_load(
     for row in rows:
         if row.handovers == handovers:
             by_load.setdefault(row.load, []).append(row)
-    out = []
-    for load in sorted(by_load):
-        group = by_load[load]
-        out.append((load, sum(r.blocking_rate for r in group) / len(group)))
-    return out
+    return [(x, sum(r.blocking_rate for r in g) / len(g)) for x, g in sorted(by_load.items())]
 
 
 def blocking_crossing(points: list[tuple[float, float]], level: float) -> float | None:

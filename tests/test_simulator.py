@@ -4,7 +4,7 @@ import math
 import pytest
 
 from nettax import simulator
-from nettax.analytics import NetworkPair
+from nettax.analytics import NetworkPair, optimal_assignment
 from nettax.simulator import (
     CLASS_A,
     CLASS_B,
@@ -133,12 +133,19 @@ class TestCurrentTax:
         approx = tax_under(TaxPolicy.APPROX, cfg2, **counts)
         # estimate 4.5*2.5*1.0 = 11.25 > f2_opt too: branches agree here
         assert approx == opt
-        # with a small-throughput profile the estimate flips the branch
-        cfg3 = dataclasses.replace(cfg2, class_b=ClassProfile(4.5, 2.5, 1.0, 1.0))
-        counts3 = dict(n1a=7, n2b=1)  # true d_B = 1 <= f2_opt
+        # Halve the class-B throughput and double the class-B sessions: the
+        # carried loads are the same (total 8, true d_B = 7 > f2_opt), so
+        # OPTIMAL sets the same tax, but the estimate 4.5*2.5*0.5 = 5.625
+        # now lies below f2_opt and alone flips APPROX to the alpha_A branch.
+        cfg3 = dataclasses.replace(cfg2, class_b=ClassProfile(4.5, 2.5, 0.5, 1.0))
+        f2_opt = optimal_assignment(NET, 8.0).f2
+        assert cfg3.class_b.offered_load < f2_opt < 7.0 < cfg2.class_b.offered_load
+        counts3 = dict(n1a=1, n2b=14)
         opt3 = tax_under(TaxPolicy.OPTIMAL, cfg3, **counts3)
         approx3 = tax_under(TaxPolicy.APPROX, cfg3, **counts3)
-        assert approx3 > opt3  # wrong branch uses alpha_B
+        assert opt3 == opt
+        # alpha_A = 2 instead of alpha_B = 1: half the tax.
+        assert approx3 == pytest.approx(opt3 / 2, rel=1e-12)
 
 
 class TestChooseNetwork:
