@@ -281,7 +281,7 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     groups = state.groups
     cap = state.cfg.max_handover_rounds
     if cap is None:
-        cap = 100 * max(1, sum(map(len, groups.values())))
+        cap = 100 * sum(map(len, groups.values()))  # wanting names an occupied group
     total = 0
     for rounds in range(1, cap + 1):
         switched = 0
