@@ -8,19 +8,20 @@ split is pinned down by the latency gap
     g(f1) = l1(f1) - l2(D - f1),
 
 which is strictly increasing in f1, against the per-class indifference
-levels t_i = alpha_i * (tau2 - tau1). The solver enumerates the candidate
-support patterns in a fixed order (the more price-averse class migrates to
-the cheaper-taxed link first) and returns the first one that satisfies the
-equilibrium inequalities; g(f1) = t has a closed-form root, so no
-iteration is needed. Near saturation the latencies 1/(c - f) are so
-ill-conditioned that rounding in the closed-form root can exceed the 1e-9
-tolerance; there the solver re-checks the same candidates at 1e-6. If
-none validates even then, it raises NoEquilibriumFound.
+levels t_i = alpha_i * (tau2 - tau1). The candidate support patterns
+come in a fixed order (the more price-averse class migrates to the
+cheaper-taxed link first); the solver builds them one at a time and stops
+at the first that satisfies the equilibrium inequalities. g(f1) = t has a
+closed-form root, so no iteration is needed. Near saturation the latencies
+1/(c - f) are so ill-conditioned that rounding in the closed-form root can
+exceed the 1e-9 tolerance; there the solver re-checks the candidates it
+built at 1e-6. If none validates even then, it raises NoEquilibriumFound.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analytics import (
@@ -119,25 +120,24 @@ def _report(
     cost_a = (l1 + sens.alpha_a * taxes.tau1, l2 + sens.alpha_a * taxes.tau2)
     cost_b = (l1 + sens.alpha_b * taxes.tau1, l2 + sens.alpha_b * taxes.tau2)
     residual = 0.0
-    for (flow1, flow2), (cost1, cost2) in (
-        ((split.f1_a, split.f2_a), cost_a),
-        ((split.f1_b, split.f2_b), cost_b),
+    for flow1, flow2, (cost1, cost2) in (
+        (split.f1_a, split.f2_a, cost_a),
+        (split.f1_b, split.f2_b, cost_b),
     ):
-        if flow1 > support_tol:
-            residual = max(residual, cost1 - cost2)
-        if flow2 > support_tol:
-            residual = max(residual, cost2 - cost1)
+        if flow1 > support_tol and cost1 - cost2 > residual:
+            residual = cost1 - cost2
+        if flow2 > support_tol and cost2 - cost1 > residual:
+            residual = cost2 - cost1
     return EquilibriumReport(split, (l1, l2), cost_a, cost_b, residual)
 
 
 def _validates(rep: EquilibriumReport, tol: float) -> bool:
     """Residual within tol, scaled by the largest finite latency."""
-    scale = max(1.0, *(v for v in rep.latencies if math.isfinite(v)))
+    scale = 1.0
+    for latency in rep.latencies:
+        if scale < latency < math.inf:
+            scale = latency
     return rep.residual <= tol * scale
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
 
 
 def _candidate_splits(
@@ -145,11 +145,11 @@ def _candidate_splits(
     dem: Demand,
     t_a: float,
     t_b: float,
-) -> list[ClassFlowSplit]:
-    """Candidate supports, ordered so that the class with the higher
-    indifference level (the one the tax difference pushes toward network 1)
-    fills network 1 first. Infeasible aggregates are skipped; the caller
-    validates each candidate against the equilibrium inequalities."""
+) -> Iterator[ClassFlowSplit]:
+    """Yields the candidate supports in order, each built only when asked
+    for, so the solver stops at the first that validates. The class with
+    the higher indifference level (the one the tax difference pushes toward
+    network 1) fills network 1 first; infeasible aggregates are skipped."""
     demand_total = dem.total()
     slack = 1e-12 * max(1.0, demand_total)
     if t_a >= t_b:
@@ -157,29 +157,26 @@ def _candidate_splits(
     else:
         d_x, d_y, t_x, t_y = dem.d_b, dem.d_a, t_b, t_a
 
-    cands: list[tuple[float, float]] = []  # (f1_x, f1_y)
+    def split(f1_x: float, f1_y: float) -> ClassFlowSplit:
+        f1_a, f1_b = (f1_x, f1_y) if t_a >= t_b else (f1_y, f1_x)
+        return ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0))
+
     # X splits, Y entirely on network 2.
     f1 = _solve_gap(net, demand_total, t_x)
     if f1 <= d_x + slack:
-        cands.append((_clip(f1, 0.0, d_x), 0.0))
+        yield split(min(max(f1, 0.0), d_x), 0.0)
     # X entirely on network 1, Y entirely on network 2.
-    cands.append((d_x, 0.0))
+    yield split(d_x, 0.0)
     # Y splits, X entirely on network 1.
     f1 = _solve_gap(net, demand_total, t_y)
     if f1 >= d_x - slack:
-        cands.append((d_x, _clip(f1 - d_x, 0.0, d_y)))
+        yield split(d_x, min(max(f1 - d_x, 0.0), d_y))
     # Everything on network 2.
     if demand_total < net.c2:
-        cands.append((0.0, 0.0))
+        yield split(0.0, 0.0)
     # Everything on network 1.
     if demand_total < net.c1:
-        cands.append((d_x, d_y))
-
-    out = []
-    for f1_x, f1_y in cands:
-        f1_a, f1_b = (f1_x, f1_y) if t_a >= t_b else (f1_y, f1_x)
-        out.append(ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
-    return out
+        yield split(d_x, d_y)
 
 
 def taxed_equilibrium(
@@ -218,14 +215,17 @@ def taxed_equilibrium(
     t_b = sens.alpha_b * dtau
     splits = _candidate_splits(net, dem, t_a, t_b)
     best = math.inf
-    # Near saturation rounding in 1/(c - f) can exceed tol; then the same
-    # candidates are re-checked at 1e-6.
+    # Near saturation rounding in 1/(c - f) can exceed tol; then the
+    # candidates, all built and kept by then, are re-checked at 1e-6.
     for check_tol in (tol, max(tol, 1e-6)):
+        tried = []
         for split in splits:
             rep = _report(net, sens, taxes, split, check_tol)
             if _validates(rep, check_tol):
                 return rep
             best = min(best, rep.residual)
+            tried.append(split)
+        splits = tried
 
     raise NoEquilibriumFound(
         f"no equilibrium validated at demand {demand_total!r} "

@@ -283,8 +283,7 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     if cap is None:
         cap = 100 * sum(map(len, groups.values()))  # wanting names an occupied group
     total = 0
-    for rounds in range(1, cap + 1):
-        switched = 0
+    for _ in range(cap):
         cursor = -math.inf
         while True:
             nxt = None
@@ -297,13 +296,10 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
                 break
             state.move(nxt, moving, q)
             cursor = nxt
-            switched += 1
+            total += 1
             wanting = _switching_groups(state, tau2)
-        total += switched
         if not wanting:
-            # The next sweep would move no one: a fixed point, unless this
-            # sweep moved someone and used up the round cap.
-            return total, switched == 0 or rounds < cap
+            return total, True
     return total, False
 
 

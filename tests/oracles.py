@@ -11,6 +11,10 @@ aggregate; the scan below evaluates exactly the minimum the naive double
 loop would find (per aggregate, the violation only depends on whether
 each class sits at 0, at its full demand, or strictly between).
 
+``eager_equilibrium`` is the taxed equilibrium search with every
+candidate support built up front, checked in order at the tolerance and
+then at 1e-6; the solver must return what it returns.
+
 ``wants_switch`` is the per-group switch predicate written out for one
 (network, class) group at a time, and ``reference_relaxation`` is the
 plain handover relaxation built on it: every sweep visits every session
@@ -22,6 +26,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from nettax.equilibrium import (
+    ClassFlowSplit,
+    NoEquilibriumFound,
+    _report,
+    _solve_gap,
+    _validates,
+)
 
 
 def latency_curve(c: float, flows: np.ndarray) -> np.ndarray:
@@ -107,6 +119,53 @@ def wardrop_grid_oracle(
     return best_k * step, best_v
 
 
+def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
+    """``taxed_equilibrium`` for a game with demand and a tax difference,
+    searched eagerly: the full list of candidate supports is built first,
+    then the first split that validates at ``tol`` is returned, else the
+    first at 1e-6, else NoEquilibriumFound is raised with the solver's
+    message. It shares the closed-form root and the residual check with
+    the library, so it pins down which candidates are tried and in which
+    order, not the arithmetic of each."""
+    demand_total = dem.total()
+    dtau = taxes.tau2 - taxes.tau1
+    assert demand_total > 0 and dtau != 0
+    t_a, t_b = sens.alpha_a * dtau, sens.alpha_b * dtau
+    a_first = t_a >= t_b
+    d_x, d_y = (dem.d_a, dem.d_b) if a_first else (dem.d_b, dem.d_a)
+    t_x, t_y = (t_a, t_b) if a_first else (t_b, t_a)
+    slack = 1e-12 * max(1.0, demand_total)
+    pairs = []  # (f1_x, f1_y)
+    f1 = _solve_gap(net, demand_total, t_x)
+    if f1 <= d_x + slack:
+        pairs.append((min(max(f1, 0.0), d_x), 0.0))
+    pairs.append((d_x, 0.0))
+    f1 = _solve_gap(net, demand_total, t_y)
+    if f1 >= d_x - slack:
+        pairs.append((d_x, min(max(f1 - d_x, 0.0), d_y)))
+    if demand_total < net.c2:
+        pairs.append((0.0, 0.0))
+    if demand_total < net.c1:
+        pairs.append((d_x, d_y))
+    splits = []
+    for f1_x, f1_y in pairs:
+        f1_a, f1_b = (f1_x, f1_y) if a_first else (f1_y, f1_x)
+        splits.append(ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
+
+    best = math.inf
+    for check_tol in (tol, max(tol, 1e-6)):
+        for split in splits:
+            rep = _report(net, sens, taxes, split, check_tol)
+            if _validates(rep, check_tol):
+                return rep
+            best = min(best, rep.residual)
+    raise NoEquilibriumFound(
+        f"no equilibrium validated at demand {demand_total!r} "
+        f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
+        f"{net.total!r}; best residual {best}"
+    )
+
+
 def wants_switch(state, cls: str, p: int, tau2: float, hysteresis: float) -> bool:
     """Whether sessions of class ``cls`` on network ``p`` cut their
     perceived cost by more than ``hysteresis`` by moving to the other
@@ -128,7 +187,9 @@ def wants_switch(state, cls: str, p: int, tau2: float, hysteresis: float) -> boo
 def reference_relaxation(state, tau2: float) -> tuple[int, bool]:
     """Best-response sweeps over all sessions in ascending sid, with the
     same round cap and result as ``simulator.handover_relaxation``. Each
-    round first tests whether any occupied group wants to switch at all.
+    round first tests whether any occupied group wants to switch at all,
+    and so does the exit at the round cap: the result reports convergence
+    whenever nobody wants to switch, however many rounds that took.
     The sid -> (class, network) map is built here from ``state.groups``
     and kept up to date with every move."""
     cfg = state.cfg
@@ -136,14 +197,18 @@ def reference_relaxation(state, tau2: float) -> tuple[int, bool]:
     cap = cfg.max_handover_rounds
     if cap is None:
         cap = 100 * max(1, len(where))
+
+    def settled() -> bool:
+        return not any(
+            sids and wants_switch(state, cls, p, tau2, cfg.handover_hysteresis)
+            for (p, cls), sids in state.groups.items()
+        )
+
     total = 0
     rounds = 0
     while rounds < cap:
         rounds += 1
-        if not any(
-            sids and wants_switch(state, cls, p, tau2, cfg.handover_hysteresis)
-            for (p, cls), sids in state.groups.items()
-        ):
+        if settled():
             return total, True
         switched = 0
         for sid in sorted(where):
@@ -156,4 +221,4 @@ def reference_relaxation(state, tau2: float) -> tuple[int, bool]:
         total += switched
         if switched == 0:
             return total, True
-    return total, False
+    return total, settled()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -15,8 +16,10 @@ from nettax.analytics import (
     optimal_tax,
     wardrop_no_tax,
 )
+from nettax import equilibrium
 from nettax.equilibrium import (
     ClassFlowSplit,
+    NoEquilibriumFound,
     _candidate_splits,
     _report,
     _validates,
@@ -25,7 +28,8 @@ from nettax.equilibrium import (
     verify_proposition1,
 )
 
-from oracles import wardrop_grid_oracle
+from fingerprint import TAX_KINDS, solver_instance
+from oracles import eager_equilibrium, wardrop_grid_oracle
 
 NET = NetworkPair(4, 11)
 SENS = Sensitivities(2, 1)
@@ -169,6 +173,95 @@ def test_some_candidate_split_validates(instance):
     # Away from saturation the closed-form supports are complete at 1e-9:
     # the 1e-6 re-check is never needed.
     assert some_candidate_validates(*instance, 1e-9)
+
+
+def solver_outcome(solve, instance):
+    """The report, or the message of the NoEquilibriumFound raised."""
+    try:
+        return solve(*instance)
+    except NoEquilibriumFound as exc:
+        return f"NoEquilibriumFound: {exc}"
+
+
+def takes_candidate_path(net, dem, sens, taxes) -> bool:
+    return dem.total() > 0 and taxes.tau2 != taxes.tau1
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_instances())
+def test_lazy_search_equals_eager_search(instance):
+    assume(takes_candidate_path(*instance))
+    expected = solver_outcome(eager_equilibrium, instance)
+    assert solver_outcome(taxed_equilibrium, instance) == expected
+
+
+@pytest.mark.parametrize("headroom", [1e-6, 1e-9, 1e-11])
+def test_lazy_search_equals_eager_search_near_saturation(headroom):
+    # The fingerprint's games (optimal or arbitrary taxes, differences up
+    # to 1e8) with demand exactly (1 - headroom) of the combined capacity.
+    rng = random.Random(f"near saturation/{headroom}")
+    paths = {"first pass": 0, "re-check": 0, "raised": 0}
+    for k in range(400):
+        instance = solver_instance(rng, (headroom, headroom), TAX_KINDS[k % 2])
+        if not takes_candidate_path(*instance):
+            continue
+        got = solver_outcome(taxed_equilibrium, instance)
+        assert got == solver_outcome(eager_equilibrium, instance)
+        if isinstance(got, str):
+            paths["raised"] += 1
+        else:
+            paths["first pass" if _validates(got, 1e-9) else "re-check"] += 1
+    # Both passes of the search, and its failure, are compared here.
+    assert min(paths.values()) > 0, paths
+
+
+class TestLazyCandidates:
+    """The solver builds a candidate, and computes the second root, only
+    when every candidate before it has failed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_solve_gap": 0, "ClassFlowSplit": 0, "_report": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(equilibrium, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(equilibrium, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dem, taxes, split, roots, builds",
+        [
+            # A splits, B on network 2: the first candidate.
+            (Demand(7, 1), None, (1.3668, 0, 5.6332, 1), 1, 1),
+            # A's root lies beyond d_a, so the first candidate is A on
+            # network 1 and B on network 2; it validates before B's root.
+            (Demand(2, 8), TaxVector(0, 0.12), (2, 0, 0, 8), 1, 1),
+            # A on network 1 fails, B splits: "everything on network 2"
+            # is never built.
+            (Demand(2, 8), None, (2, 0.1191, 0, 7.8809), 2, 2),
+        ],
+    )
+    def test_stops_at_the_first_valid_candidate(self, calls, dem, taxes, split, roots, builds):
+        taxes = taxes or optimal_tax(NET, dem, SENS)
+        rep = taxed_equilibrium(NET, dem, SENS, taxes)
+        assert dataclasses.astuple(rep.split) == pytest.approx(split, abs=1e-4)
+        assert calls == {"_solve_gap": roots, "ClassFlowSplit": builds, "_report": builds}
+
+    def test_recheck_builds_each_candidate_once(self, calls):
+        # The fallback case above: no candidate validates at 1e-9, and the
+        # 1e-6 re-check reuses the splits already built.
+        dem = Demand(15 - 1e-7 - 1, 1)
+        taxes = optimal_tax(NET, dem, SENS)
+        dtau = taxes.tau2 - taxes.tau1
+        built = len(list(_candidate_splits(NET, dem, SENS.alpha_a * dtau, SENS.alpha_b * dtau)))
+        calls.update(dict.fromkeys(calls, 0))  # listing them was counted too
+        rep = taxed_equilibrium(NET, dem, SENS, taxes)
+        assert not _validates(rep, 1e-9)
+        assert calls["_solve_gap"] == 2 and calls["ClassFlowSplit"] == built
+        assert built < calls["_report"] <= 2 * built
 
 
 class TestProposition1:

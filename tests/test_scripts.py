@@ -1,6 +1,7 @@
-"""End-to-end smoke test of the experiment scripts under ``scripts/``."""
+"""End-to-end smoke tests of the scripts under ``scripts/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,15 +9,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_base_experiment_writes_every_output(tmp_path):
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_base_experiment.py"), str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_base_experiment_writes_every_output(tmp_path):
+    done = run_script("run_base_experiment.py", str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     expected = {"analysis.csv", "latency_curves.csv"}
@@ -31,3 +36,23 @@ def test_base_experiment_writes_every_output(tmp_path):
     for policy in ("none", "approx", "optimal"):
         assert done.stdout.count(f"trace: {tmp_path / f'trace_{policy}.csv'} (") == 1
     assert len((tmp_path / "latency_curves.csv").read_text().splitlines()) == 202
+
+
+def fingerprint_cells(text: str) -> list[str]:
+    """The cell names of fingerprint output, without raise counts."""
+    cells = []
+    for line in text.splitlines():
+        name, digest = line.rsplit(" ", 1)
+        assert re.fullmatch(r"[0-9a-f]{64}", digest), line
+        cells.append(re.sub(r" raised=\d+$", "", name))
+    return cells
+
+
+def test_fingerprint_small_run_covers_the_committed_cells():
+    done = run_script("fingerprint.py", "--small")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    cells = fingerprint_cells(done.stdout)
+    assert len(cells) == len(set(cells)) == 3 * 2 * 5 + 5 * 2
+    # The committed full-size fingerprint names the same cells in order.
+    assert fingerprint_cells((ROOT / "tests" / "fingerprint.txt").read_text()) == cells

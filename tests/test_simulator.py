@@ -242,6 +242,12 @@ class TestHandoverRelaxation:
         # group that wants to switch: no second sweep asks again.
         assert len(calls) == 2
 
+    def test_capped_sweep_that_reaches_a_fixed_point_converges(self):
+        # The one allowed sweep moves the lone user and leaves nobody who
+        # wants to switch: the relaxation used up its cap, and converged.
+        state = state_with(base_config(max_handover_rounds=1), n1a=1)
+        assert handover_relaxation(state, 0.0) == (1, True)
+
     def test_post_tax_drop_drains_network_1(self):
         # users parked on network 1 while a tax was active migrate back
         # once the tax is gone and total load is below the threshold
