@@ -28,17 +28,23 @@ class NetworkPair:
 
     c1: float
     c2: float
-    # Set once here: the simulator asks for the threshold at every event.
+    # Set once here: the simulator asks for the threshold and the roots
+    # sqrt(c1), sqrt(c2) and sqrt(c1 * c2) at every event.
     _tax_threshold: float = field(init=False, repr=False, compare=False)
+    _r1: float = field(init=False, repr=False, compare=False)
+    _r2: float = field(init=False, repr=False, compare=False)
+    _r12: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (INF > self.c2 > self.c1 > 0):
             raise ValueError(
                 f"requires finite c2 > c1 > 0, got c1={self.c1}, c2={self.c2}"
             )
-        object.__setattr__(
-            self, "_tax_threshold", self.c2 - math.sqrt(self.c1 * self.c2)
-        )
+        r12 = math.sqrt(self.c1 * self.c2)
+        object.__setattr__(self, "_tax_threshold", self.c2 - r12)
+        object.__setattr__(self, "_r1", math.sqrt(self.c1))
+        object.__setattr__(self, "_r2", math.sqrt(self.c2))
+        object.__setattr__(self, "_r12", r12)
 
     @property
     def total(self) -> float:
@@ -162,13 +168,15 @@ def wardrop_no_tax(net: NetworkPair, demand_total: float) -> FlowAssignment:
 
 def _optimal_split(net: NetworkPair, demand_total: float) -> tuple[float, float]:
     """Optimal (f1, f2) for a demand the caller has already checked."""
-    if demand_total <= net.tax_threshold():
+    if demand_total <= net._tax_threshold:
         return 0.0, demand_total
-    r1, r2 = math.sqrt(net.c1), math.sqrt(net.c2)
+    r1, r2 = net._r1, net._r2
     f1 = ((demand_total - net.c2) * r1 + net.c1 * r2) / (r1 + r2)
     f2 = ((demand_total - net.c1) * r2 + net.c2 * r1) / (r1 + r2)
-    # Clamp roundoff just above the branch boundary.
-    return max(0.0, f1), min(f2, demand_total)
+    # Clamp roundoff just above the branch boundary: max(0.0, f1) and
+    # min(f2, demand_total), written as the comparisons they make, so that
+    # NaN and -0.0 give the same results.
+    return f1 if f1 > 0.0 else 0.0, demand_total if demand_total < f2 else f2
 
 
 def optimal_assignment(net: NetworkPair, demand_total: float) -> FlowAssignment:
@@ -183,8 +191,7 @@ def _optimal_cost(net: NetworkPair, demand_total: float) -> float:
         if demand_total == 0:
             return 0.0
         return demand_total / (net.c2 - demand_total)
-    root = math.sqrt(net.c1 * net.c2)
-    return (2.0 * demand_total - net.c1 - net.c2 + 2.0 * root) / (
+    return (2.0 * demand_total - net.c1 - net.c2 + 2.0 * net._r12) / (
         net.c1 + net.c2 - demand_total
     )
 
@@ -205,12 +212,10 @@ def _tau2(
     d_b with the optimal f2; the tie uses class A. d_b may exceed the
     total: APPROX passes the offered class-B load.
     """
-    if demand_total <= net.tax_threshold():
+    if demand_total <= net._tax_threshold:
         return 0.0, None
     alpha = alpha_a if d_b <= _optimal_split(net, demand_total)[1] else alpha_b
-    tau2 = (net.c2 - net.c1) / (
-        alpha * math.sqrt(net.c1 * net.c2) * (net.c1 + net.c2 - demand_total)
-    )
+    tau2 = (net.c2 - net.c1) / (alpha * net._r12 * (net.c1 + net.c2 - demand_total))
     return tau2, alpha
 
 

@@ -114,15 +114,21 @@ class SystemState:
     ``groups`` is the one record of who is where: ``groups[(p, cls)]``
     holds the ascending ids of the class-``cls`` sessions on network p, in
     the order 1A, 1B, 2A, 2B, and a group's size is the ``len`` of its
-    list. ``loads[p]`` is the throughput carried by network p, a stored
-    cache: ``admit`` and ``remove`` refresh it for the network they touch
-    from the group sizes as n_pA * eps_A + n_pB * eps_B, so it has the same
-    bits as recomputing it and no floating-point drift can accumulate.
-    ``profiles`` maps each class to its (throughput, alpha).
+    list. ``lists`` holds the same four list objects in that order, so
+    that the hot paths unpack them in one step. ``loads[p]`` is the
+    throughput carried by network p, a stored cache. Whatever changes a
+    group of network p stores it again from the group sizes, as
+    n_pA * eps_A + n_pB * eps_B: ``admit`` and ``move`` here, and
+    ``simulate``, which books arrivals and departures on the lists in
+    place. So it has the same bits as recomputing it, and no
+    floating-point drift can accumulate. ``profiles`` maps each class to
+    its (throughput, alpha). ``consts`` holds the run's constants: c1, c2,
+    the handover hysteresis, the bands of networks 1 and 2, and the
+    profiles of classes A and B.
 
     A session joins network p only if it ``fits``: ``loads[p] + eps < c_p``
-    can hold while the load then stored rounds to exactly c_p. Below
-    ``bands[p]``, 1e-12 short of c_p, it always fits: one comparison.
+    can hold while the load then stored rounds to exactly c_p. Below the
+    band of network p, 1e-12 short of c_p, it always fits: one comparison.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -130,31 +136,20 @@ class SystemState:
         self.groups: dict[tuple[int, str], list[int]] = {
             (p, c): [] for p in (1, 2) for c in (CLASS_A, CLASS_B)
         }
+        self.lists = tuple(self.groups.values())
         self.profiles = {
             c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
         }
         self.loads = {1: 0.0, 2: 0.0}
-        self.caps = {1: cfg.net.c1, 2: cfg.net.c2}
-        self.bands = {p: c * (1.0 - 1e-12) for p, c in self.caps.items()}
-
-    def total_load(self) -> float:
-        return self.loads[1] + self.loads[2]
-
-    def class_load(self, cls: str) -> float:
-        groups = self.groups
-        return (len(groups[(1, cls)]) + len(groups[(2, cls)])) * self.profiles[cls][0]
-
-    def _refresh(self, p: int) -> None:
-        groups, profiles = self.groups, self.profiles
-        self.loads[p] = (
-            len(groups[(p, CLASS_A)]) * profiles[CLASS_A][0]
-            + len(groups[(p, CLASS_B)]) * profiles[CLASS_B][0]
-        )
+        c1, c2 = cfg.net.c1, cfg.net.c2
+        self.caps = {1: c1, 2: c2}
+        self.consts = (c1, c2, cfg.handover_hysteresis, c1 * (1.0 - 1e-12),
+                       c2 * (1.0 - 1e-12), self.profiles[CLASS_A], self.profiles[CLASS_B])
 
     def fits(self, cls: str, p: int) -> bool:
         """Whether network p has room for one more class-``cls`` session:
-        both its load plus the session's and the load ``_refresh`` would
-        then store are below capacity."""
+        both its load plus the session's and the load then stored are
+        below capacity."""
         groups, profiles, cap = self.groups, self.profiles, self.caps[p]
         n_a = len(groups[(p, CLASS_A)]) + (cls == CLASS_A)
         n_b = len(groups[(p, CLASS_B)]) + (cls == CLASS_B)
@@ -162,27 +157,22 @@ class SystemState:
                 and n_a * profiles[CLASS_A][0] + n_b * profiles[CLASS_B][0] < cap)
 
     def admit(self, sid: int, cls: str, p: int) -> None:
-        bisect.insort(self.groups[(p, cls)], sid)
-        self._refresh(p)
-
-    def remove(self, sid: int, cls: str) -> int:
-        """Remove session ``sid`` of class ``cls`` and return the network
-        it was on, found by bisecting the class's two lists."""
-        for p in (1, 2):
-            group = self.groups[(p, cls)]
-            i = bisect.bisect_left(group, sid)
-            if i < len(group) and group[i] == sid:
-                del group[i]
-                self._refresh(p)
-                return p
-        raise KeyError(sid)
+        groups = self.groups
+        bisect.insort(groups[(p, cls)], sid)
+        _, _, _, _, _, (eps_a, _), (eps_b, _) = self.consts
+        self.loads[p] = len(groups[(p, CLASS_A)]) * eps_a + len(groups[(p, CLASS_B)]) * eps_b
 
     def move(self, sid: int, cls: str, q: int) -> None:
         """Move session ``sid`` of class ``cls`` from network 3 - q to q."""
-        group = self.groups[(3 - q, cls)]
+        groups = self.groups
+        group = groups[(3 - q, cls)]
         del group[bisect.bisect_left(group, sid)]
-        self._refresh(3 - q)
-        self.admit(sid, cls, q)
+        bisect.insort(groups[(q, cls)], sid)
+        on1a, on1b, on2a, on2b = self.lists
+        _, _, _, _, _, (eps_a, _), (eps_b, _) = self.consts
+        loads = self.loads
+        loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
+        loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
 
 
 def current_tax(state: SystemState) -> float:
@@ -195,28 +185,32 @@ def current_tax(state: SystemState) -> float:
     keeps below each network's capacity, so the demand is not checked.
     """
     cfg = state.cfg
-    if cfg.policy is TaxPolicy.NONE:
+    policy = cfg.policy
+    if policy is TaxPolicy.NONE:
         return 0.0
-    if cfg.policy is TaxPolicy.OPTIMAL:
-        d_b = state.class_load(CLASS_B)
+    _, _, _, _, _, (_, alpha_a), (eps_b, alpha_b) = state.consts
+    if policy is TaxPolicy.OPTIMAL:
+        _, on1b, _, on2b = state.lists
+        d_b = (len(on1b) + len(on2b)) * eps_b
     else:
         d_b = cfg.class_b.offered_load
-    tau2, _ = _tau2(cfg.net, state.total_load(), d_b, cfg.class_a.alpha, cfg.class_b.alpha)
-    return tau2
+    loads = state.loads
+    return _tau2(cfg.net, loads[1] + loads[2], d_b, alpha_a, alpha_b)[0]
 
 
 def choose_network(state: SystemState, cls: str, tau2: float) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
     when both are full. Ties go to network 2, the larger one. A network is
     a candidate only if it has room (``SystemState.fits``), so f < c."""
+    c1, c2, _, band1, band2, _, _ = state.consts
     eps, alpha = state.profiles[cls]
-    net, loads, bands = state.cfg.net, state.loads, state.bands
+    loads = state.loads
     best, best_cost = None, math.inf
     load = loads[2] + eps
-    if load < bands[2] or state.fits(cls, 2):
-        best, best_cost = 2, 1.0 / (net.c2 - load) + alpha * tau2
+    if load < band2 or state.fits(cls, 2):
+        best, best_cost = 2, 1.0 / (c2 - load) + alpha * tau2
     load = loads[1] + eps
-    if (load < bands[1] or state.fits(cls, 1)) and 1.0 / (net.c1 - load) < best_cost:
+    if (load < band1 or state.fits(cls, 1)) and 1.0 / (c1 - load) < best_cost:
         best = 1
     return best
 
@@ -230,27 +224,37 @@ def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
     computes at most 6 latencies 1 / (c - f), written out as in ``delay``:
     a move needs room on the target (``SystemState.fits``), and staying at
     capacity costs +inf."""
-    cfg, loads, groups, profiles = state.cfg, state.loads, state.groups, state.profiles
-    c1, c2, hysteresis = cfg.net.c1, cfg.net.c2, cfg.handover_hysteresis
+    c1, c2, hysteresis, band1, band2, (eps_a, alpha_a), (eps_b, alpha_b) = state.consts
+    on1a, on1b, on2a, on2b = state.lists
+    loads = state.loads
     load1, load2 = loads[1], loads[2]
-    band1, band2 = state.bands[1], state.bands[2]
     stay1 = 1.0 / (c1 - load1) if load1 < c1 else math.inf
     stay2 = 1.0 / (c2 - load2) if load2 < c2 else math.inf
     out = []
-    for cls in (CLASS_A, CLASS_B):
-        eps, alpha = profiles[cls]
-        if groups[(1, cls)]:
-            moved = load2 + eps
-            if (moved < band2 or state.fits(cls, 2)) and (
-                1.0 / (c2 - moved) + alpha * tau2 < stay1 - hysteresis
-            ):
-                out.append((1, cls))
-        if groups[(2, cls)]:
-            moved = load1 + eps
-            if (moved < band1 or state.fits(cls, 1)) and (
-                1.0 / (c1 - moved) < stay2 + alpha * tau2 - hysteresis
-            ):
-                out.append((2, cls))
+    if on1a:
+        moved = load2 + eps_a
+        if (moved < band2 or state.fits(CLASS_A, 2)) and (
+            1.0 / (c2 - moved) + alpha_a * tau2 < stay1 - hysteresis
+        ):
+            out.append((1, CLASS_A))
+    if on2a:
+        moved = load1 + eps_a
+        if (moved < band1 or state.fits(CLASS_A, 1)) and (
+            1.0 / (c1 - moved) < stay2 + alpha_a * tau2 - hysteresis
+        ):
+            out.append((2, CLASS_A))
+    if on1b:
+        moved = load2 + eps_b
+        if (moved < band2 or state.fits(CLASS_B, 2)) and (
+            1.0 / (c2 - moved) + alpha_b * tau2 < stay1 - hysteresis
+        ):
+            out.append((1, CLASS_B))
+    if on2b:
+        moved = load1 + eps_b
+        if (moved < band1 or state.fits(CLASS_B, 1)) and (
+            1.0 / (c1 - moved) < stay2 + alpha_b * tau2 - hysteresis
+        ):
+            out.append((2, CLASS_B))
     return out
 
 
@@ -377,35 +381,45 @@ def simulate(
     ``sink`` as soon as it is made, and none is kept; with no sink, none is
     built. Time averages use exact piecewise-constant integration over
     [warmup, horizon].
+
+    The loop books arrivals and departures itself, in place on
+    ``state.lists``, and stores the load of the network it touched by the
+    rule of ``SystemState``; handover moves go through ``SystemState.move``.
     """
-    rng = random.Random(str(cfg.seed))
-    expovariate = rng.expovariate
+    random_ = random.Random(str(cfg.seed)).random
+    log, inf = math.log, math.inf
+    heappush, heappop, bisect_left = heapq.heappush, heapq.heappop, bisect.bisect_left
     state = SystemState(cfg)
+    tax, choose, optimal_cost = current_tax, choose_network, _optimal_cost
+    relax = handover_relaxation if cfg.handovers else None
     blocking = BlockingStats()
-    warnings = events = 0
+    arrivals, blocked = blocking.arrivals, blocking.blocked
+    measured_arrivals = measured_blocked = warnings = events = 0
     warmup, horizon, net = cfg.warmup, cfg.horizon, cfg.net
-    c1, c2 = net.c1, net.c2
+    c1, c2, _, _, _, (eps_a, _), (eps_b, _) = state.consts
+    loads = state.loads
+    on1a, on1b, on2a, on2b = state.lists
 
     # (t, sid, cls): (t, sid) is unique, so cls never decides the order.
     departures: list[tuple[float, int, str]] = []
     next_sid = 0
-    # cls -> the arguments of its two draws: arrival rate, 1 / mean duration.
-    rates = {c: (cfg.profile(c).arrival_rate, 1.0 / cfg.profile(c).mean_duration)
-             for c in (CLASS_A, CLASS_B)}
-    next_arrival = {c: expovariate(lam) if lam > 0 else math.inf
-                    for c, (lam, _) in rates.items()}
+    # Each class draws with its arrival rate, then with 1 / mean duration.
+    # A draw is random.expovariate's own formula, -log(1 - U) / rate.
+    lam_a, lam_b = cfg.class_a.arrival_rate, cfg.class_b.arrival_rate
+    mu_a, mu_b = 1.0 / cfg.class_a.mean_duration, 1.0 / cfg.class_b.mean_duration
+    t_a = -log(1.0 - random_()) / lam_a if lam_a > 0 else inf
+    t_b = -log(1.0 - random_()) / lam_b if lam_b > 0 else inf
 
-    loads, groups = state.loads, state.groups
-
+    load = cost = cost_opt = clock = poa_integral = 0.0
     poa = 1.0
-    clock = 0.0
-    tau2 = current_tax(state)
-    poa_integral = 0.0
+    tau2 = tax(state)
 
     while True:
-        t_dep = departures[0][0] if departures else math.inf
-        t_a, t_b = next_arrival[CLASS_A], next_arrival[CLASS_B]
-        t = min(t_a, t_b, t_dep)
+        t_dep = departures[0][0] if departures else inf
+        t = t_a if t_a <= t_b else t_b
+        departing = t_dep <= t
+        if departing:
+            t = t_dep
         if t > horizon:
             break
         # Integrate the PoA in force since the last event over [warmup, t].
@@ -415,58 +429,75 @@ def simulate(
         clock = t
 
         changed = True
-        if t_dep <= t_a and t_dep <= t_b:
-            _, sid, cls = heapq.heappop(departures)
-            state.remove(sid, cls)
-            event = "dep" + cls
+        if departing:
+            _, sid, cls = heappop(departures)
+            on1, on2 = (on1a, on2a) if cls == CLASS_A else (on1b, on2b)
+            i = bisect_left(on1, sid)
+            if i < len(on1) and on1[i] == sid:
+                del on1[i]
+                loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
+            else:
+                del on2[bisect_left(on2, sid)]
+                loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
+            kind = "dep"
         else:
-            cls = CLASS_A if t_a <= t_b else CLASS_B
-            lam, mu = rates[cls]
             # Fixed draw order (inter-arrival, then duration), consumed even
             # for blocked arrivals: keeps streams aligned across policies.
-            next_arrival[cls] = t + expovariate(lam)
-            duration = expovariate(mu)
+            if t_a <= t_b:
+                cls, on1, on2 = CLASS_A, on1a, on2a
+                t_a = t + -log(1.0 - random_()) / lam_a
+                duration = -log(1.0 - random_()) / mu_a
+            else:
+                cls, on1, on2 = CLASS_B, on1b, on2b
+                t_b = t + -log(1.0 - random_()) / lam_b
+                duration = -log(1.0 - random_()) / mu_b
             in_window = t >= warmup
-            blocking.arrivals[cls] += 1
-            blocking.measured_arrivals += in_window
-            p = choose_network(state, cls, tau2)
+            arrivals[cls] += 1
+            measured_arrivals += in_window
+            p = choose(state, cls, tau2)
             if p is None:
-                blocking.blocked[cls] += 1
-                blocking.measured_blocked += in_window
-                event = "blk" + cls
+                blocked[cls] += 1
+                measured_blocked += in_window
+                kind = "blk"
                 changed = False
             else:
-                state.admit(next_sid, cls, p)
-                heapq.heappush(departures, (t + duration, next_sid, cls))
+                # next_sid is above every sid so far: the list stays ascending.
+                if p == 1:
+                    on1.append(next_sid)
+                    loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
+                else:
+                    on2.append(next_sid)
+                    loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
+                heappush(departures, (t + duration, next_sid, cls))
                 next_sid += 1
-                event = "arr" + cls
+                kind = "arr"
 
         if changed:
-            if cfg.handovers:
-                _, converged = handover_relaxation(state, tau2)
-                if not converged:
-                    warnings += 1
-            tau2 = current_tax(state)
+            if relax is not None and not relax(state, tau2)[1]:
+                warnings += 1
+            tau2 = tax(state)
+            # A blocked arrival changes no load, so keeps the metrics too.
+            load1, load2 = loads[1], loads[2]
+            load = load1 + load2
+            if load == 0:
+                cost = cost_opt = 0.0
+                poa = 1.0
+            else:
+                # link_cost written out: each load stays below its capacity.
+                cost = load1 * (1.0 / (c1 - load1)) + load2 * (1.0 / (c2 - load2))
+                cost_opt = optimal_cost(net, load)
+                poa = cost / cost_opt
 
         events += 1
-        load1, load2 = loads[1], loads[2]
-        load = load1 + load2
-        if load == 0:
-            cost = cost_opt = 0.0
-            poa = 1.0
-        else:
-            # link_cost written out: each load stays below its capacity.
-            cost = load1 * (1.0 / (c1 - load1)) + load2 * (1.0 / (c2 - load2))
-            cost_opt = _optimal_cost(net, load)
-            poa = cost / cost_opt
         if sink is not None:
-            # groups holds the lists in the order 1A, 1B, 2A, 2B.
-            sink(Sample(t, load, tau2, cost, cost_opt, poa, *map(len, groups.values()), event))
+            sink(Sample(t, load, tau2, cost, cost_opt, poa,
+                        len(on1a), len(on1b), len(on2a), len(on2b), kind + cls))
 
     lo = warmup if warmup > clock else clock
     if horizon > lo:
         poa_integral += poa * (horizon - lo)
     avg_poa = poa_integral / (horizon - warmup)
+    blocking.measured_arrivals, blocking.measured_blocked = measured_arrivals, measured_blocked
     return blocking, SimSummary(avg_poa, warnings, events)
 
 

@@ -13,6 +13,9 @@ from nettax.analytics import (
     NetworkPair,
     Sensitivities,
     TaxVector,
+    _optimal_cost,
+    _optimal_split,
+    _tau2,
     delay,
     optimal_assignment,
     optimal_cost,
@@ -302,3 +305,105 @@ def test_wardrop_equal_latencies(net, frac):
     assert delay(net.c1, f.f1) == pytest.approx(
         delay(net.c2, f.f2), abs=1e-9, rel=1e-9
     )
+
+
+# The kernels as written before ``NetworkPair`` cached its roots: fresh
+# ``math.sqrt`` calls and ``max``/``min`` clamps.
+def fresh_split(net, demand):
+    if demand <= net.c2 - math.sqrt(net.c1 * net.c2):
+        return 0.0, demand
+    r1, r2 = math.sqrt(net.c1), math.sqrt(net.c2)
+    f1 = ((demand - net.c2) * r1 + net.c1 * r2) / (r1 + r2)
+    f2 = ((demand - net.c1) * r2 + net.c2 * r1) / (r1 + r2)
+    return max(0.0, f1), min(f2, demand)
+
+
+def fresh_cost(net, demand):
+    if demand <= net.c2 - math.sqrt(net.c1 * net.c2):
+        if demand == 0:
+            return 0.0
+        return demand / (net.c2 - demand)
+    root = math.sqrt(net.c1 * net.c2)
+    return (2.0 * demand - net.c1 - net.c2 + 2.0 * root) / (net.c1 + net.c2 - demand)
+
+
+def fresh_tau2(net, demand, d_b, alpha_a, alpha_b):
+    if demand <= net.c2 - math.sqrt(net.c1 * net.c2):
+        return 0.0, None
+    alpha = alpha_a if d_b <= fresh_split(net, demand)[1] else alpha_b
+    tau2 = (net.c2 - net.c1) / (
+        alpha * math.sqrt(net.c1 * net.c2) * (net.c1 + net.c2 - demand)
+    )
+    return tau2, alpha
+
+
+any_nets = st.builds(
+    lambda c1, gap: NetworkPair(c1, c1 + gap),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-6, 1e3),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    net = draw(any_nets)
+    thr = net.tax_threshold()
+    side = draw(st.sampled_from(("below", "at", "just below", "just above", "above")))
+    if side == "below":
+        demand = draw(st.floats(0.0, thr))
+    elif side == "at":
+        demand = thr
+    elif side == "just below":
+        demand = math.nextafter(thr, -INF)
+    elif side == "just above":
+        demand = math.nextafter(thr, INF)
+    else:
+        demand = draw(st.floats(thr, net.total, exclude_max=True))
+    f2 = fresh_split(net, demand)[1]
+    d_b = draw(st.just(f2) | st.floats(0.0, 2.0 * demand + 1.0))
+    alpha_b = draw(st.floats(0.01, 10.0))
+    alpha_a = alpha_b + draw(st.floats(1e-6, 10.0))
+    return net, demand, d_b, alpha_a, alpha_b
+
+
+def same_bits(x, y):
+    # repr tells -0.0 from 0.0, and equals itself for nan.
+    return repr(x) == repr(y)
+
+
+@given(case=kernel_cases())
+@settings(max_examples=500)
+def test_kernels_equal_the_fresh_root_formulas(case):
+    net, demand, d_b, alpha_a, alpha_b = case
+    assert _optimal_split(net, demand) == fresh_split(net, demand)
+    assert same_bits(_optimal_split(net, demand), fresh_split(net, demand))
+    assert _optimal_cost(net, demand) == fresh_cost(net, demand)
+    assert _tau2(net, demand, d_b, alpha_a, alpha_b) == fresh_tau2(
+        net, demand, d_b, alpha_a, alpha_b
+    )
+
+
+@pytest.mark.parametrize("demand", [0.0, -0.0, NAN, INF, 1e308])
+def test_split_clamps_keep_max_and_min_results(demand):
+    # Outside the checked domain too: the comparisons that replace max and
+    # min give their results for signed zeros, nan and inf.
+    for net in (NET, NetworkPair(1e-3, 1e3)):
+        assert same_bits(_optimal_split(net, demand), fresh_split(net, demand))
+
+
+@given(net=any_nets)
+def test_cached_roots_stay_out_of_repr_eq_hash_and_pickle(net):
+    c1, c2 = net.c1, net.c2
+    assert net._r1 == math.sqrt(c1)
+    assert net._r2 == math.sqrt(c2)
+    assert net._r12 == math.sqrt(c1 * c2)
+    assert repr(net) == f"NetworkPair(c1={c1!r}, c2={c2!r})"
+    assert hash(net) == hash((c1, c2))
+    other = NetworkPair(c1, c2)
+    for name in ("_r1", "_r2", "_r12"):
+        object.__setattr__(other, name, -1.0)
+    assert other == net
+    assert hash(other) == hash(net)
+    loaded = pickle.loads(pickle.dumps(net))
+    assert loaded == net
+    assert vars(loaded) == vars(net)

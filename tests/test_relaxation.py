@@ -8,14 +8,18 @@ same result, and, when converged, leave no group that gains by switching.
 same groups as the one-group predicate ``oracles.wants_switch``, and a
 relaxation asks it once per state it reaches: 1 + switches times.
 
-``SystemState`` keeps the per-group sid lists, its one record of who is
-where, and the carried loads up to date itself. ``CheckedState`` requires
-after every ``admit``, ``remove`` and ``move`` that the four lists be
-strictly ascending and pairwise disjoint, and that the loads have the bits
-of a recomputation from the group sizes; after every ``admit`` and ``move``
-each load must also stay below its network's capacity.
+The per-group sid lists are the one record of who is where. ``admit``
+and ``move`` keep them and the carried loads up to date, and so does
+``simulate``, which books arrivals and departures on the lists in place.
+``assert_groups_consistent`` requires that the four lists be strictly
+ascending and pairwise disjoint, and that the loads have the bits of a
+recomputation from the group sizes; ``assert_below_capacity``, that each
+load stays below its network's capacity. ``CheckedState`` checks both
+after every ``admit`` and ``move``. A run checks both on entry to every
+relaxation, which follows every admitted arrival and every departure.
 """
 
+import collections
 import itertools
 
 from hypothesis import event, given, settings
@@ -42,6 +46,7 @@ GROUPS = ((1, CLASS_A), (1, CLASS_B), (2, CLASS_A), (2, CLASS_B))
 
 def assert_groups_consistent(state: SystemState) -> None:
     assert list(state.groups) == list(GROUPS)
+    assert all(a is b for a, b in zip(state.lists, state.groups.values(), strict=True))
     for sids in state.groups.values():
         assert all(a < b for a, b in zip(sids, sids[1:]))
     everyone = [sid for sids in state.groups.values() for sid in sids]
@@ -52,9 +57,6 @@ def assert_groups_consistent(state: SystemState) -> None:
     for p in (1, 2):
         fresh = n[(p, CLASS_A)] * eps[CLASS_A] + n[(p, CLASS_B)] * eps[CLASS_B]
         assert state.loads[p] == fresh
-    assert state.total_load() == state.loads[1] + state.loads[2]
-    for cls in (CLASS_A, CLASS_B):
-        assert state.class_load(cls) == (n[(1, cls)] + n[(2, cls)]) * eps[cls]
 
 
 def assert_below_capacity(state: SystemState) -> None:
@@ -67,11 +69,6 @@ class CheckedState(SystemState):
         super().admit(sid, cls, p)
         assert_groups_consistent(self)
         assert_below_capacity(self)
-
-    def remove(self, sid, cls):
-        result = super().remove(sid, cls)
-        assert_groups_consistent(self)
-        return result
 
     def move(self, sid, cls, q):
         super().move(sid, cls, q)
@@ -162,13 +159,16 @@ def test_switching_groups_match_reference_predicate(case):
 
 
 def test_group_lists_track_sessions_through_a_run(monkeypatch):
-    # CheckedState checks the state after every admit, remove and move of
-    # the run, the moves inside relaxation included.
+    # The run books arrivals and departures in place, and relaxation follows
+    # every one that admitted or removed a session: checking the state on
+    # entry to it checks every such event. CheckedState checks the moves.
     monkeypatch.setattr(simulator, "SystemState", CheckedState)
     calls = []
 
     def recorded(state, tau2):
         assert isinstance(state, CheckedState)
+        assert_groups_consistent(state)
+        assert_below_capacity(state)
         result = handover_relaxation(state, tau2)
         calls.append(result)
         return result
@@ -184,13 +184,45 @@ def test_group_lists_track_sessions_through_a_run(monkeypatch):
         seed=3,
     )
     trace = run(cfg)
-    assert len(calls) > 1000
+    changed = [s for s in trace.samples if s.event[:3] in ("arr", "dep")]
+    assert len(calls) == len(changed) > 1000
     assert sum(s for s, _ in calls) > 0
     assert trace.summary.relaxation_warnings == 0
     assert workloads.audit(
         workloads.trace_auditor(cfg), workloads.trace_rows(trace),
         trace.summary.avg_poa, trace.blocking.rate, "seed 3",
     ) == []
+
+
+def test_sampled_load_is_the_sum_of_the_group_loads():
+    # Handovers off: the loads change only by the arrivals and departures
+    # the loop books itself. Every sample's load has the bits of the load
+    # rule applied to its four counts, and no session is lost or made up.
+    # The offered load is about 0.97 of capacity, so both classes see
+    # blocked arrivals.
+    cfg = SimConfig(
+        net=NetworkPair(4.0, 11.0),
+        class_a=ClassProfile(16.0, 4.0, 0.064, 2.0),
+        class_b=ClassProfile(24.0, 2.5, 0.184, 1.0),
+        handovers=False,
+        policy=TaxPolicy.OPTIMAL,
+        horizon=20.0,
+        seed=3,
+    )
+    eps_a, eps_b = cfg.class_a.throughput, cfg.class_b.throughput
+    seen = collections.Counter()
+    active = 0
+
+    def sink(s):
+        nonlocal active
+        seen[s.event] += 1
+        active += {"arr": 1, "dep": -1, "blk": 0}[s.event[:3]]
+        assert s.n1a + s.n1b + s.n2a + s.n2b == active
+        assert s.load == (s.n1a * eps_a + s.n1b * eps_b) + (s.n2a * eps_a + s.n2b * eps_b)
+
+    simulator.simulate(cfg, sink)
+    assert min(seen[e + c] for e in ("arr", "dep", "blk") for c in (CLASS_A, CLASS_B)) > 0
+    assert seen["arrA"] + seen["arrB"] > 700
 
 
 def test_each_relaxation_asks_once_per_state(monkeypatch):

@@ -253,7 +253,7 @@ class TestHandoverRelaxation:
         # once the tax is gone and total load is below the threshold
         cfg = base_config()
         state = state_with(cfg, n1a=20, n2b=5)  # load 1.28 + 0.92 = 2.2
-        assert state.total_load() < NET.tax_threshold()
+        assert state.loads[1] + state.loads[2] < NET.tax_threshold()
         switches, converged = handover_relaxation(state, 0.0)
         assert converged
         assert len(state.groups[(1, CLASS_A)]) == 0
