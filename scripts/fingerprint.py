@@ -15,6 +15,8 @@ names the cells that moved.
   pair (either order, differences up to 1e8). One hash per (band, tax
   kind) over the ``repr`` of each report or the message of each raised
   ``NoEquilibriumFound``; the count of those raised is printed too.
+- ``latencies`` cells: ``class_latencies`` of each band's optimal-tax
+  games, hashed the same way, one cell per band.
 
 ``--small`` runs a reduced set (1 replication, horizon 20, fewer solves)
 for a quick smoke test; its hashes are not comparable to the full set's.
@@ -28,7 +30,7 @@ import hashlib
 import random
 
 from nettax.analytics import Demand, NetworkPair, Sensitivities, TaxVector, optimal_tax
-from nettax.equilibrium import NoEquilibriumFound, taxed_equilibrium
+from nettax.equilibrium import NoEquilibriumFound, class_latencies, taxed_equilibrium
 from nettax.scenario import DEFAULT_SCENARIO, parse_scenario
 from nettax.simulator import TaxPolicy, replication_config, run
 
@@ -73,20 +75,38 @@ def solver_instance(rng: random.Random, band: tuple[float, float], kind: str):
     return net, dem, sens, taxes
 
 
+def hashed(name: str, solves) -> tuple[str, str]:
+    """One cell: a hash over the ``repr`` of each solve's result, or the
+    message of the NoEquilibriumFound it raised, and the count raised."""
+    digest = hashlib.sha256()
+    raised = 0
+    for solve, args in solves:
+        try:
+            out = repr(solve(*args))
+        except NoEquilibriumFound as exc:
+            out = f"NoEquilibriumFound: {exc}"
+            raised += 1
+        digest.update(out.encode() + b"\n")
+    return f"{name} raised={raised}", digest.hexdigest()
+
+
 def solver_cells(solves: int):
     for band in BANDS:
         for kind in TAX_KINDS:
             rng = random.Random(f"fingerprint/{band}/{kind}")
-            digest = hashlib.sha256()
-            raised = 0
-            for _ in range(solves):
-                try:
-                    out = repr(taxed_equilibrium(*solver_instance(rng, band, kind)))
-                except NoEquilibriumFound as exc:
-                    out = f"NoEquilibriumFound: {exc}"
-                    raised += 1
-                digest.update(out.encode() + b"\n")
-            yield f"solver gap=({band[0]:g},{band[1]:g}] {kind} raised={raised}", digest.hexdigest()
+            games = ((taxed_equilibrium, solver_instance(rng, band, kind)) for _ in range(solves))
+            yield hashed(f"solver gap=({band[0]:g},{band[1]:g}] {kind}", games)
+
+
+def latency_cells(solves: int):
+    def games(rng, band):
+        for _ in range(solves):
+            net, dem, sens, _ = solver_instance(rng, band, "optimal")
+            yield class_latencies, (net, dem.total(), dem.d_a / dem.total(), sens)
+
+    for band in BANDS:
+        rng = random.Random(f"fingerprint/{band}/latencies")
+        yield hashed(f"latencies gap=({band[0]:g},{band[1]:g}]", games(rng, band))
 
 
 def main() -> int:
@@ -94,9 +114,9 @@ def main() -> int:
     p.add_argument("--small", action="store_true", help="reduced set for a smoke test")
     args = p.parse_args()
     if args.small:
-        cells = [sim_cells(1, 20.0), solver_cells(200)]
+        cells = [sim_cells(1, 20.0), solver_cells(200), latency_cells(200)]
     else:
-        cells = [sim_cells(6, 200.0), solver_cells(10_000)]
+        cells = [sim_cells(6, 200.0), solver_cells(10_000), latency_cells(10_000)]
     for group in cells:
         for name, digest in group:
             print(f"{name} {digest}", flush=True)

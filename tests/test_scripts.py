@@ -53,6 +53,7 @@ def test_fingerprint_small_run_covers_the_committed_cells():
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     cells = fingerprint_cells(done.stdout)
-    assert len(cells) == len(set(cells)) == 3 * 2 * 5 + 5 * 2
+    # Simulator, solver and class-latency cells.
+    assert len(cells) == len(set(cells)) == 3 * 2 * 5 + 5 * 2 + 5
     # The committed full-size fingerprint names the same cells in order.
     assert fingerprint_cells((ROOT / "tests" / "fingerprint.txt").read_text()) == cells
