@@ -114,8 +114,8 @@ class TaxVector:
     tau2: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau1 >= 0 and self.tau2 >= 0):
-            raise ValueError(f"taxes must be >= 0, got {self.tau1}, {self.tau2}")
+        if not (0 <= self.tau1 < INF and 0 <= self.tau2 < INF):
+            raise ValueError(f"taxes must be finite and >= 0, got {self.tau1}, {self.tau2}")
 
 
 def delay(c: float, f: float) -> float:
@@ -156,14 +156,17 @@ def _check_demand(net: NetworkPair, demand_total: float) -> None:
         )
 
 
+def _wardrop_split(net, demand_total):
+    """Selfish (f1, f2) for a demand the caller has already checked."""
+    if demand_total <= net.c2 - net.c1:
+        return 0.0, demand_total
+    return (demand_total + net.c1 - net.c2) / 2.0, (demand_total + net.c2 - net.c1) / 2.0
+
+
 def wardrop_no_tax(net: NetworkPair, demand_total: float) -> FlowAssignment:
     """Unique selfish (equal-latency) split of the total demand, no taxes."""
     _check_demand(net, demand_total)
-    if demand_total <= net.c2 - net.c1:
-        return FlowAssignment(0.0, demand_total)
-    f1 = (demand_total + net.c1 - net.c2) / 2.0
-    f2 = (demand_total + net.c2 - net.c1) / 2.0
-    return FlowAssignment(f1, f2)
+    return FlowAssignment(*_wardrop_split(net, demand_total))
 
 
 def _optimal_split(net: NetworkPair, demand_total: float) -> tuple[float, float]:

@@ -21,23 +21,21 @@ built at 1e-6. If none validates even then, it raises NoEquilibriumFound.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analytics import (
+    INF,
     Demand,
     NetworkPair,
     Sensitivities,
     TaxVector,
-    delay,
+    link_cost,
     optimal_assignment,
     optimal_tax,
-    total_cost,
-    wardrop_no_tax,
     _check_demand,
+    _tau2,
+    _wardrop_split,
 )
-
-NAN = float("nan")
 
 
 class NoEquilibriumFound(RuntimeError):
@@ -97,6 +95,8 @@ def _solve_gap(net: NetworkPair, demand_total: float, t: float) -> float:
     2s / ((u + 2) + sqrt(u^2 + 4)) with u = t*s, exact at t = 0; below
     u = -2 that sum cancels, so there the same root is written as
     ((u + 2) - sqrt(u^2 + 4)) / (2t), which adds two negative terms.
+    The root is clamped to [0, D] by the comparisons that max and min
+    make, so that NaN stays NaN.
     """
     s = net.c1 + net.c2 - demand_total
     u = t * s
@@ -105,78 +105,122 @@ def _solve_gap(net: NetworkPair, demand_total: float, t: float) -> float:
     else:
         a = 2.0 * s / ((u + 2.0) + math.sqrt(u * u + 4.0))
     f1 = net.c1 - a
-    return min(max(f1, 0.0), demand_total)
+    return 0.0 if f1 < 0.0 else demand_total if demand_total < f1 else f1
 
 
-def _report(
-    net: NetworkPair,
-    sens: Sensitivities,
-    taxes: TaxVector,
-    split: ClassFlowSplit,
-    support_tol: float,
-) -> EquilibriumReport:
-    l1 = delay(net.c1, split.f1)
-    l2 = delay(net.c2, split.f2)
-    cost_a = (l1 + sens.alpha_a * taxes.tau1, l2 + sens.alpha_a * taxes.tau2)
-    cost_b = (l1 + sens.alpha_b * taxes.tau1, l2 + sens.alpha_b * taxes.tau2)
-    residual = 0.0
-    for flow1, flow2, (cost1, cost2) in (
-        (split.f1_a, split.f2_a, cost_a),
-        (split.f1_b, split.f2_b, cost_b),
-    ):
-        if flow1 > support_tol and cost1 - cost2 > residual:
-            residual = cost1 - cost2
-        if flow2 > support_tol and cost2 - cost1 > residual:
-            residual = cost2 - cost1
-    return EquilibriumReport(split, (l1, l2), cost_a, cost_b, residual)
+def _report(net, prices, split, tol):
+    """(l1, l2, residual, validates) of one candidate split
+    (f1_a, f1_b, f2_a, f2_b), with ``prices`` the products alpha_a * tau1,
+    alpha_a * tau2, alpha_b * tau1 and alpha_b * tau2.
+
+    The residual is the largest cost advantage of the other network over
+    one carrying more than ``tol`` of a class; the split validates if it
+    is within ``tol`` scaled by the largest finite latency above 1. The
+    latencies are written out as in ``delay``: the flows are >= 0 or NaN.
+    A class's cost gap on network 2 is the negated gap on network 1, to
+    the bit; residual only takes a gap above 0.0, so its sign of zero and
+    NaN do not matter.
+    """
+    f1_a, f1_b, f2_a, f2_b = split
+    pa1, pa2, pb1, pb2 = prices
+    f1 = f1_a + f1_b
+    f2 = f2_a + f2_b
+    l1 = INF if f1 >= net.c1 else 1.0 / (net.c1 - f1)
+    l2 = INF if f2 >= net.c2 else 1.0 / (net.c2 - f2)
+    gap_a = l1 + pa1 - (l2 + pa2)
+    gap_b = l1 + pb1 - (l2 + pb2)
+    residual = gap_a if f1_a > tol and gap_a > 0.0 else 0.0
+    if f2_a > tol and -gap_a > residual:
+        residual = -gap_a
+    if f1_b > tol and gap_b > residual:
+        residual = gap_b
+    if f2_b > tol and -gap_b > residual:
+        residual = -gap_b
+    scale = l1 if 1.0 < l1 < INF else 1.0
+    if scale < l2 < INF:
+        scale = l2
+    return l1, l2, residual, residual <= tol * scale
 
 
-def _validates(rep: EquilibriumReport, tol: float) -> bool:
-    """Residual within tol, scaled by the largest finite latency."""
-    scale = 1.0
-    for latency in rep.latencies:
-        if scale < latency < math.inf:
-            scale = latency
-    return rep.residual <= tol * scale
+def _candidates(net, demand_total, d_a, d_b, t_a, t_b):
+    """Yields the candidate splits (f1_a, f1_b, f2_a, f2_b) in order, each
+    built only when asked for, so the solver stops at the first that
+    validates. The class with the higher indifference level (the one the
+    tax difference pushes toward network 1), X, fills network 1 first:
 
+    1. X splits, Y entirely on network 2;
+    2. X entirely on network 1, Y entirely on network 2;
+    3. Y splits, X entirely on network 1;
+    4. everything on network 2;
+    5. everything on network 1.
 
-def _candidate_splits(
-    net: NetworkPair,
-    dem: Demand,
-    t_a: float,
-    t_b: float,
-) -> Iterator[ClassFlowSplit]:
-    """Yields the candidate supports in order, each built only when asked
-    for, so the solver stops at the first that validates. The class with
-    the higher indifference level (the one the tax difference pushes toward
-    network 1) fills network 1 first; infeasible aggregates are skipped."""
-    demand_total = dem.total()
+    The body is written for X = A; for X = B it runs with the classes
+    swapped and swaps each split back. Infeasible aggregates are skipped.
+    Clamps are max and min written as the comparisons they make. The
+    first root needs no max, being >= 0. Network 2 needs no clamp: a
+    class's flow on network 1 never exceeds its demand d, so d - f1 >= 0,
+    and d - d == 0.0 and d - 0.0 == d are written out as such.
+    """
+    if t_a < t_b:
+        for f1_b, f1_a, f2_b, f2_a in _candidates(net, demand_total, d_b, d_a, t_b, t_a):
+            yield f1_a, f1_b, f2_a, f2_b
+        return
     slack = 1e-12 * max(1.0, demand_total)
-    if t_a >= t_b:
-        d_x, d_y, t_x, t_y = dem.d_a, dem.d_b, t_a, t_b
-    else:
-        d_x, d_y, t_x, t_y = dem.d_b, dem.d_a, t_b, t_a
-
-    def split(f1_x: float, f1_y: float) -> ClassFlowSplit:
-        f1_a, f1_b = (f1_x, f1_y) if t_a >= t_b else (f1_y, f1_x)
-        return ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0))
-
-    # X splits, Y entirely on network 2.
-    f1 = _solve_gap(net, demand_total, t_x)
-    if f1 <= d_x + slack:
-        yield split(min(max(f1, 0.0), d_x), 0.0)
-    # X entirely on network 1, Y entirely on network 2.
-    yield split(d_x, 0.0)
-    # Y splits, X entirely on network 1.
-    f1 = _solve_gap(net, demand_total, t_y)
-    if f1 >= d_x - slack:
-        yield split(d_x, min(max(f1 - d_x, 0.0), d_y))
-    # Everything on network 2.
+    f1 = _solve_gap(net, demand_total, t_a)
+    if f1 <= d_a + slack:
+        f1 = d_a if d_a < f1 else f1
+        yield f1, 0.0, d_a - f1, d_b
+    yield d_a, 0.0, 0.0, d_b
+    f1 = _solve_gap(net, demand_total, t_b)
+    if f1 >= d_a - slack:
+        f1 -= d_a
+        f1 = 0.0 if f1 < 0.0 else d_b if d_b < f1 else f1
+        yield d_a, f1, 0.0, d_b - f1
     if demand_total < net.c2:
-        yield split(0.0, 0.0)
-    # Everything on network 1.
+        yield 0.0, 0.0, d_a, d_b
     if demand_total < net.c1:
-        yield split(d_x, d_y)
+        yield d_a, d_b, 0.0, 0.0
+
+
+def _solve(net, d_a, d_b, alpha_a, alpha_b, tau1, tau2, tol):
+    """(split, l1, l2, residual, prices) of the equilibrium, for a demand
+    the caller has checked and tol > 0; the split is (f1_a, f1_b, f2_a,
+    f2_b), and ``prices`` is the argument of ``_report``.
+
+    Without demand or tax difference the one split is reported as it is,
+    proportional to demand at zero tax difference. Otherwise the result is
+    the first candidate that validates at ``tol``, else the first at 1e-6:
+    near saturation rounding in 1/(c - f) can exceed ``tol``, and then the
+    candidates, all built and kept by then, are checked again.
+    """
+    prices = (alpha_a * tau1, alpha_a * tau2, alpha_b * tau1, alpha_b * tau2)
+    demand_total = d_a + d_b
+    dtau = tau2 - tau1
+    if demand_total == 0:
+        split = (0.0,) * 4
+    elif dtau == 0:
+        f1, f2 = _wardrop_split(net, demand_total)
+        share_a = d_a / demand_total
+        share_b = 1.0 - share_a
+        split = (f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b)
+    else:
+        splits = _candidates(net, demand_total, d_a, d_b, alpha_a * dtau, alpha_b * dtau)
+        best = INF
+        for check_tol in (tol, 1e-6 if tol < 1e-6 else tol):
+            tried = []
+            for split in splits:
+                l1, l2, residual, ok = _report(net, prices, split, check_tol)
+                if ok:
+                    return split, l1, l2, residual, prices
+                best = min(best, residual)
+                tried.append(split)
+            splits = tried
+        raise NoEquilibriumFound(
+            f"no equilibrium validated at demand {demand_total!r} "
+            f"(d_a={d_a!r}, d_b={d_b!r}) against combined capacity "
+            f"{net.total!r}; best residual {best}"
+        )
+    return split, *_report(net, prices, split, tol)[:3], prices
 
 
 def taxed_equilibrium(
@@ -195,42 +239,12 @@ def taxed_equilibrium(
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    demand_total = dem.total()
-    _check_demand(net, demand_total)
-
-    if demand_total == 0:
-        split = ClassFlowSplit(0.0, 0.0, 0.0, 0.0)
-        return _report(net, sens, taxes, split, tol)
-
-    dtau = taxes.tau2 - taxes.tau1
-    if dtau == 0:
-        agg = wardrop_no_tax(net, demand_total)
-        share_a = dem.d_a / demand_total
-        share_b = 1.0 - share_a
-        f1, f2 = agg.f1, agg.f2
-        split = ClassFlowSplit(f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b)
-        return _report(net, sens, taxes, split, tol)
-
-    t_a = sens.alpha_a * dtau
-    t_b = sens.alpha_b * dtau
-    splits = _candidate_splits(net, dem, t_a, t_b)
-    best = math.inf
-    # Near saturation rounding in 1/(c - f) can exceed tol; then the
-    # candidates, all built and kept by then, are re-checked at 1e-6.
-    for check_tol in (tol, max(tol, 1e-6)):
-        tried = []
-        for split in splits:
-            rep = _report(net, sens, taxes, split, check_tol)
-            if _validates(rep, check_tol):
-                return rep
-            best = min(best, rep.residual)
-            tried.append(split)
-        splits = tried
-
-    raise NoEquilibriumFound(
-        f"no equilibrium validated at demand {demand_total!r} "
-        f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
-        f"{net.total!r}; best residual {best}"
+    _check_demand(net, dem.total())
+    split, l1, l2, residual, (pa1, pa2, pb1, pb2) = _solve(
+        net, dem.d_a, dem.d_b, sens.alpha_a, sens.alpha_b, taxes.tau1, taxes.tau2, tol
+    )
+    return EquilibriumReport(
+        ClassFlowSplit(*split), (l1, l2), (l1 + pa1, l2 + pa2), (l1 + pb1, l2 + pb2), residual
     )
 
 
@@ -259,27 +273,27 @@ def class_latencies(
     """Flow-weighted average latency of each class under the optimal tax,
     plus the common latency of the no-tax equilibrium for reference.
 
-    An empty class gets NaN (no user experiences a latency).
+    An empty class gets NaN (no user experiences a latency). The class
+    demands are checked too: they may sum to one ulp above demand_total.
     """
     if not 0.0 <= share_a <= 1.0:
         raise ValueError(f"share_a must be in [0, 1], got {share_a}")
     _check_demand(net, demand_total)
     d_a = share_a * demand_total
-    dem = Demand(d_a, demand_total - d_a)
-    taxes = optimal_tax(net, dem, sens)
-    rep = taxed_equilibrium(net, dem, sens, taxes)
-    l1, l2 = rep.latencies
+    d_b = demand_total - d_a
+    _check_demand(net, d_a + d_b)
+    tau2 = _tau2(net, d_a + d_b, d_b, sens.alpha_a, sens.alpha_b)[0]
+    (f1_a, f1_b, f2_a, f2_b), l1, l2, *_ = _solve(
+        net, d_a, d_b, sens.alpha_a, sens.alpha_b, 0.0, tau2, 1e-9
+    )
 
-    def weighted(fl1: float, fl2: float) -> float:
+    def weighted(fl1, fl2):
         d = fl1 + fl2
-        if d <= 0:
-            return NAN
-        return (fl1 * l1 + fl2 * l2) / d
+        return math.nan if d <= 0 else (fl1 * l1 + fl2 * l2) / d
 
-    lat_a = weighted(rep.split.f1_a, rep.split.f2_a)
-    lat_b = weighted(rep.split.f1_b, rep.split.f2_b)
     if demand_total > 0:
-        lat_no_tax = total_cost(net, wardrop_no_tax(net, demand_total)) / demand_total
+        f1, f2 = _wardrop_split(net, demand_total)
+        lat_no_tax = (link_cost(net.c1, f1) + link_cost(net.c2, f2)) / demand_total
     else:
-        lat_no_tax = NAN
-    return (lat_a, lat_b, lat_no_tax)
+        lat_no_tax = math.nan
+    return (weighted(f1_a, f2_a), weighted(f1_b, f2_b), lat_no_tax)

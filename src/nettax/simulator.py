@@ -104,9 +104,6 @@ class SimConfig:
                 f"max_handover_rounds must be >= 1, got {self.max_handover_rounds}"
             )
 
-    def profile(self, cls: str) -> ClassProfile:
-        return self.class_a if cls == CLASS_A else self.class_b
-
 
 class SystemState:
     """Active sessions and the per-network carried throughput.
@@ -138,7 +135,7 @@ class SystemState:
         }
         self.lists = tuple(self.groups.values())
         self.profiles = {
-            c: (cfg.profile(c).throughput, cfg.profile(c).alpha) for c in (CLASS_A, CLASS_B)
+            c: (p.throughput, p.alpha) for c, p in ((CLASS_A, cfg.class_a), (CLASS_B, cfg.class_b))
         }
         self.loads = {1: 0.0, 2: 0.0}
         c1, c2 = cfg.net.c1, cfg.net.c2
@@ -183,17 +180,18 @@ def current_tax(state: SystemState) -> float:
     substitutes the long-run average class-B load eps_B * lambda_B / mu_B.
     The magnitude only ever depends on the total load, which ``run()``
     keeps below each network's capacity, so the demand is not checked.
+    ``simulate`` never calls it under NONE; OPTIMAL, the common rule, is
+    tested first, since an Enum member read through its class is slow.
     """
     cfg = state.cfg
-    policy = cfg.policy
-    if policy is TaxPolicy.NONE:
-        return 0.0
     _, _, _, _, _, (_, alpha_a), (eps_b, alpha_b) = state.consts
-    if policy is TaxPolicy.OPTIMAL:
+    if cfg.policy is TaxPolicy.OPTIMAL:
         _, on1b, _, on2b = state.lists
         d_b = (len(on1b) + len(on2b)) * eps_b
-    else:
+    elif cfg.policy is TaxPolicy.APPROX:
         d_b = cfg.class_b.offered_load
+    else:
+        return 0.0
     loads = state.loads
     return _tau2(cfg.net, loads[1] + loads[2], d_b, alpha_a, alpha_b)[0]
 
@@ -374,7 +372,10 @@ def simulate(
 ) -> tuple[BlockingStats, SimSummary]:
     """Simulate one trajectory and integrate metrics event by event.
 
-    The tax in force is recomputed whenever an event changes the state.
+    The tax in force is recomputed whenever an event changes the state,
+    by the price rule picked once for the run: NONE has none, so tau2
+    stays 0.0, and every rule prices the empty system the run starts from
+    at 0.0, below the threshold.
     Each event's admission / handover decisions use the pre-event tax; the
     sample carries the post-event tax, which is the one in force until the
     next event and hence that event's pre-event tax. Each sample goes to
@@ -390,7 +391,8 @@ def simulate(
     log, inf = math.log, math.inf
     heappush, heappop, bisect_left = heapq.heappush, heapq.heappop, bisect.bisect_left
     state = SystemState(cfg)
-    tax, choose, optimal_cost = current_tax, choose_network, _optimal_cost
+    tax = None if cfg.policy is TaxPolicy.NONE else current_tax
+    choose, optimal_cost = choose_network, _optimal_cost
     relax = handover_relaxation if cfg.handovers else None
     blocking = BlockingStats()
     arrivals, blocked = blocking.arrivals, blocking.blocked
@@ -410,9 +412,8 @@ def simulate(
     t_a = -log(1.0 - random_()) / lam_a if lam_a > 0 else inf
     t_b = -log(1.0 - random_()) / lam_b if lam_b > 0 else inf
 
-    load = cost = cost_opt = clock = poa_integral = 0.0
+    load = cost = cost_opt = clock = poa_integral = tau2 = 0.0
     poa = 1.0
-    tau2 = tax(state)
 
     while True:
         t_dep = departures[0][0] if departures else inf
@@ -475,7 +476,8 @@ def simulate(
         if changed:
             if relax is not None and not relax(state, tau2)[1]:
                 warnings += 1
-            tau2 = tax(state)
+            if tax:
+                tau2 = tax(state)
             # A blocked arrival changes no load, so keeps the metrics too.
             load1, load2 = loads[1], loads[2]
             load = load1 + load2

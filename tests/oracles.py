@@ -15,6 +15,10 @@ each class sits at 0, at its full demand, or strictly between).
 candidate support built up front, checked in order at the tolerance and
 then at 1e-6; the solver must return what it returns.
 
+``latencies_of_report`` is ``class_latencies`` composed from the public
+API: the optimal tax, the report of ``taxed_equilibrium`` under it, and
+the flow-weighted latencies of that report.
+
 ``wants_switch`` is the per-group switch predicate written out for one
 (network, class) group at a time, and ``reference_relaxation`` is the
 plain handover relaxation built on it: every sweep visits every session
@@ -27,12 +31,14 @@ import math
 
 import numpy as np
 
+from nettax.analytics import Demand, optimal_tax, total_cost, wardrop_no_tax
 from nettax.equilibrium import (
     ClassFlowSplit,
+    EquilibriumReport,
     NoEquilibriumFound,
     _report,
     _solve_gap,
-    _validates,
+    taxed_equilibrium,
 )
 
 
@@ -119,6 +125,18 @@ def wardrop_grid_oracle(
     return best_k * step, best_v
 
 
+def prices(sens, taxes) -> tuple[float, float, float, float]:
+    """The ``prices`` argument of the solver's ``_report``."""
+    return (sens.alpha_a * taxes.tau1, sens.alpha_a * taxes.tau2,
+            sens.alpha_b * taxes.tau1, sens.alpha_b * taxes.tau2)
+
+
+def validates(rep, tol: float) -> bool:
+    """The solver's acceptance test applied to a report: the residual is
+    within ``tol`` scaled by the largest finite latency above 1."""
+    return rep.residual <= tol * max([1.0, *(l for l in rep.latencies if l < math.inf)])
+
+
 def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
     """``taxed_equilibrium`` for a game with demand and a tax difference,
     searched eagerly: the full list of candidate supports is built first,
@@ -150,20 +168,45 @@ def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
     splits = []
     for f1_x, f1_y in pairs:
         f1_a, f1_b = (f1_x, f1_y) if a_first else (f1_y, f1_x)
-        splits.append(ClassFlowSplit(f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
+        splits.append((f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
 
+    pay = prices(sens, taxes)
     best = math.inf
     for check_tol in (tol, max(tol, 1e-6)):
         for split in splits:
-            rep = _report(net, sens, taxes, split, check_tol)
-            if _validates(rep, check_tol):
-                return rep
-            best = min(best, rep.residual)
+            l1, l2, residual, ok = _report(net, pay, split, check_tol)
+            if ok:
+                return EquilibriumReport(
+                    ClassFlowSplit(*split), (l1, l2), (l1 + pay[0], l2 + pay[1]),
+                    (l1 + pay[2], l2 + pay[3]), residual,
+                )
+            best = min(best, residual)
     raise NoEquilibriumFound(
         f"no equilibrium validated at demand {demand_total!r} "
         f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
         f"{net.total!r}; best residual {best}"
     )
+
+
+def latencies_of_report(net, demand_total: float, share_a: float, sens):
+    """``class_latencies`` through the public API and the report's objects."""
+    if not 0.0 <= share_a <= 1.0:
+        raise ValueError(f"share_a must be in [0, 1], got {share_a}")
+    d_a = share_a * demand_total
+    dem = Demand(d_a, demand_total - d_a)
+    rep = taxed_equilibrium(net, dem, sens, optimal_tax(net, dem, sens))
+    l1, l2 = rep.latencies
+
+    def weighted(fl1: float, fl2: float) -> float:
+        d = fl1 + fl2
+        return (fl1 * l1 + fl2 * l2) / d if d > 0 else math.nan
+
+    if demand_total > 0:
+        lat_no_tax = total_cost(net, wardrop_no_tax(net, demand_total)) / demand_total
+    else:
+        lat_no_tax = math.nan
+    return (weighted(rep.split.f1_a, rep.split.f2_a),
+            weighted(rep.split.f1_b, rep.split.f2_b), lat_no_tax)
 
 
 def wants_switch(state, cls: str, p: int, tau2: float, hysteresis: float) -> bool:

@@ -60,6 +60,9 @@ NAN, INF = math.nan, math.inf
         (lambda: Demand(NAN, 1), "got nan, 1"),
         (lambda: Demand(1, NAN), "got 1, nan"),
         (lambda: TaxVector(0, NAN), "got 0, nan"),
+        # An infinite tax once saturated network 2 with residual 0.
+        (lambda: TaxVector(0, INF), "finite and >= 0, got 0, inf"),
+        (lambda: TaxVector(INF, 0), "finite and >= 0, got inf, 0"),
         (lambda: optimal_cost(NET, NAN), "demand must be >= 0, got nan"),
         (lambda: optimal_cost(NET, INF), "total demand inf >= combined capacity"),
     ],

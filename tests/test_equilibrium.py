@@ -20,16 +20,13 @@ from nettax import equilibrium
 from nettax.equilibrium import (
     ClassFlowSplit,
     NoEquilibriumFound,
-    _candidate_splits,
-    _report,
-    _validates,
     class_latencies,
     taxed_equilibrium,
     verify_proposition1,
 )
 
 from fingerprint import TAX_KINDS, solver_instance
-from oracles import eager_equilibrium, wardrop_grid_oracle
+from oracles import eager_equilibrium, latencies_of_report, prices, validates, wardrop_grid_oracle
 
 NET = NetworkPair(4, 11)
 SENS = Sensitivities(2, 1)
@@ -114,7 +111,7 @@ class TestTaxedEquilibrium:
         rep = taxed_equilibrium(NET, Demand(d_a, d_b), SENS, TaxVector(tau1, 0))
         assert rep.split.f1_a == 0
         assert rep.split.f1_b > 0
-        assert _validates(rep, 1e-6)
+        assert validates(rep, 1e-6)
 
 
 class TestFallback:
@@ -125,17 +122,18 @@ class TestFallback:
         dem = Demand(15 - 1e-7 - 1, 1)
         taxes = optimal_tax(NET, dem, SENS)
         assert not some_candidate_validates(NET, dem, SENS, taxes, 1e-9)
-        assert _validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-6)
+        assert validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-6)
         ok, diffs = verify_proposition1(NET, dem, SENS)
         assert ok, diffs
 
 
 def some_candidate_validates(net, dem, sens, taxes, tol):
     dtau = taxes.tau2 - taxes.tau1
-    splits = _candidate_splits(net, dem, sens.alpha_a * dtau, sens.alpha_b * dtau)
-    return any(
-        _validates(_report(net, sens, taxes, split, tol), tol) for split in splits
+    splits = equilibrium._candidates(
+        net, dem.total(), dem.d_a, dem.d_b, sens.alpha_a * dtau, sens.alpha_b * dtau
     )
+    pay = prices(sens, taxes)
+    return any(equilibrium._report(net, pay, split, tol)[3] for split in splits)
 
 
 @st.composite
@@ -210,25 +208,36 @@ def test_lazy_search_equals_eager_search_near_saturation(headroom):
         if isinstance(got, str):
             paths["raised"] += 1
         else:
-            paths["first pass" if _validates(got, 1e-9) else "re-check"] += 1
+            paths["first pass" if validates(got, 1e-9) else "re-check"] += 1
     # Both passes of the search, and its failure, are compared here.
     assert min(paths.values()) > 0, paths
 
 
 class TestLazyCandidates:
     """The solver builds a candidate, and computes the second root, only
-    when every candidate before it has failed."""
+    when every candidate before it has failed; ``built`` counts the
+    candidates built. The objects of the report are built once, at the
+    end. Every case here taxes network 2 more: with tau1 > tau2,
+    ``_candidates`` calls itself with the classes swapped, and the
+    counter would see each candidate twice."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_solve_gap": 0, "ClassFlowSplit": 0, "_report": 0}
-        for name in calls:
+        calls = {"_solve_gap": 0, "built": 0, "_report": 0, "ClassFlowSplit": 0, "EquilibriumReport": 0}
+        for name in ("_solve_gap", "_report", "ClassFlowSplit", "EquilibriumReport"):
 
             def counted(*args, _name=name, _original=getattr(equilibrium, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(equilibrium, name, counted)
+
+        def candidates(*args, _original=equilibrium._candidates):
+            for split in _original(*args):
+                calls["built"] += 1
+                yield split
+
+        monkeypatch.setattr(equilibrium, "_candidates", candidates)
         return calls
 
     @pytest.mark.parametrize(
@@ -248,7 +257,8 @@ class TestLazyCandidates:
         taxes = taxes or optimal_tax(NET, dem, SENS)
         rep = taxed_equilibrium(NET, dem, SENS, taxes)
         assert dataclasses.astuple(rep.split) == pytest.approx(split, abs=1e-4)
-        assert calls == {"_solve_gap": roots, "ClassFlowSplit": builds, "_report": builds}
+        assert calls == {"_solve_gap": roots, "built": builds, "_report": builds,
+                         "ClassFlowSplit": 1, "EquilibriumReport": 1}
 
     def test_recheck_builds_each_candidate_once(self, calls):
         # The fallback case above: no candidate validates at 1e-9, and the
@@ -256,12 +266,20 @@ class TestLazyCandidates:
         dem = Demand(15 - 1e-7 - 1, 1)
         taxes = optimal_tax(NET, dem, SENS)
         dtau = taxes.tau2 - taxes.tau1
-        built = len(list(_candidate_splits(NET, dem, SENS.alpha_a * dtau, SENS.alpha_b * dtau)))
+        built = len(list(equilibrium._candidates(
+            NET, dem.total(), dem.d_a, dem.d_b, SENS.alpha_a * dtau, SENS.alpha_b * dtau
+        )))
         calls.update(dict.fromkeys(calls, 0))  # listing them was counted too
         rep = taxed_equilibrium(NET, dem, SENS, taxes)
-        assert not _validates(rep, 1e-9)
-        assert calls["_solve_gap"] == 2 and calls["ClassFlowSplit"] == built
+        assert not validates(rep, 1e-9)
+        assert calls["_solve_gap"] == 2 and calls["built"] == built
         assert built < calls["_report"] <= 2 * built
+
+    def test_class_latencies_builds_no_report(self, calls):
+        # The first case above, reached through class_latencies.
+        class_latencies(NET, 8, 7 / 8, SENS)
+        assert calls == {"_solve_gap": 1, "built": 1, "_report": 1,
+                         "ClassFlowSplit": 0, "EquilibriumReport": 0}
 
 
 class TestProposition1:
@@ -335,6 +353,19 @@ def test_proposition1_parameter_grid():
                 dem = Demand(demand * (1 - b_share), demand * b_share)
                 ok, diffs = verify_proposition1(NET, dem, sens, tol=1e-5)
                 assert ok, (load, b_share, ratio, diffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_instances(), st.sampled_from([0.0, 1.0]) | st.floats(0, 1), st.booleans())
+def test_class_latencies_equal_the_report_route(instance, share_a, own_share):
+    net, dem, sens, _ = instance
+    demand = dem.total()
+    if own_share and demand > 0:
+        share_a = dem.d_a / demand
+    got = solver_outcome(class_latencies, (net, demand, share_a, sens))
+    expected = solver_outcome(latencies_of_report, (net, demand, share_a, sens))
+    # repr compares NaN equal to NaN, and everything else by value.
+    assert repr(got) == repr(expected)
 
 
 class TestClassLatencies:
