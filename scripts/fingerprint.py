@@ -75,12 +75,13 @@ def solver_instance(rng: random.Random, band: tuple[float, float], kind: str):
     return net, dem, sens, taxes
 
 
-def hashed(name: str, solves) -> tuple[str, str]:
-    """One cell: a hash over the ``repr`` of each solve's result, or the
-    message of the NoEquilibriumFound it raised, and the count raised."""
+def hashed(name: str, solve, games) -> tuple[str, str]:
+    """One cell: a hash over the ``repr`` of ``solve(*args)`` for each
+    args in ``games``, or the message of the NoEquilibriumFound it raised,
+    and the count raised."""
     digest = hashlib.sha256()
     raised = 0
-    for solve, args in solves:
+    for args in games:
         try:
             out = repr(solve(*args))
         except NoEquilibriumFound as exc:
@@ -94,19 +95,21 @@ def solver_cells(solves: int):
     for band in BANDS:
         for kind in TAX_KINDS:
             rng = random.Random(f"fingerprint/{band}/{kind}")
-            games = ((taxed_equilibrium, solver_instance(rng, band, kind)) for _ in range(solves))
-            yield hashed(f"solver gap=({band[0]:g},{band[1]:g}] {kind}", games)
+            games = (solver_instance(rng, band, kind) for _ in range(solves))
+            yield hashed(f"solver gap=({band[0]:g},{band[1]:g}] {kind}", taxed_equilibrium, games)
+
+
+def latency_args(rng: random.Random, band: tuple[float, float]):
+    """``class_latencies``' arguments for one optimal-tax solver game."""
+    net, dem, sens, _ = solver_instance(rng, band, "optimal")
+    return net, dem.total(), dem.d_a / dem.total(), sens
 
 
 def latency_cells(solves: int):
-    def games(rng, band):
-        for _ in range(solves):
-            net, dem, sens, _ = solver_instance(rng, band, "optimal")
-            yield class_latencies, (net, dem.total(), dem.d_a / dem.total(), sens)
-
     for band in BANDS:
         rng = random.Random(f"fingerprint/{band}/latencies")
-        yield hashed(f"latencies gap=({band[0]:g},{band[1]:g}]", games(rng, band))
+        games = (latency_args(rng, band) for _ in range(solves))
+        yield hashed(f"latencies gap=({band[0]:g},{band[1]:g}]", class_latencies, games)
 
 
 def main() -> int:

@@ -199,7 +199,7 @@ def latencies_of_report(net, demand_total: float, share_a: float, sens):
 
     def weighted(fl1: float, fl2: float) -> float:
         d = fl1 + fl2
-        return (fl1 * l1 + fl2 * l2) / d if d > 0 else math.nan
+        return math.nan if d <= 0 else (fl1 * l1 + fl2 * l2) / d
 
     if demand_total > 0:
         lat_no_tax = total_cost(net, wardrop_no_tax(net, demand_total)) / demand_total

@@ -364,7 +364,7 @@ def test_class_latencies_equal_the_report_route(instance, share_a, own_share):
         share_a = dem.d_a / demand
     got = solver_outcome(class_latencies, (net, demand, share_a, sens))
     expected = solver_outcome(latencies_of_report, (net, demand, share_a, sens))
-    # repr compares NaN equal to NaN, and everything else by value.
+    # repr takes NaN as equal to NaN and tells -0.0 from 0.0.
     assert repr(got) == repr(expected)
 
 
