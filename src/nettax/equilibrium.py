@@ -16,6 +16,10 @@ closed-form root, so no iteration is needed. Near saturation the latencies
 1/(c - f) are so ill-conditioned that rounding in the closed-form root can
 exceed the 1e-9 tolerance; there the solver re-checks the candidates it
 built at 1e-6. If none validates even then, it raises NoEquilibriumFound.
+
+The search runs on floats in one kernel, ``_solve``. ``taxed_equilibrium``
+and ``class_latencies`` wrap it, and only ``taxed_equilibrium`` builds the
+dataclasses of a result, once per call.
 """
 
 from __future__ import annotations
