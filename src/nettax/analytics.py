@@ -29,7 +29,9 @@ class NetworkPair:
     c1: float
     c2: float
     # Set once here: the simulator asks for the threshold and the roots
-    # sqrt(c1), sqrt(c2) and sqrt(c1 * c2) at every event.
+    # sqrt(c1), sqrt(c2) and sqrt(c1 * c2) at every event, and every closed
+    # form checks its demand against the total.
+    total: float = field(init=False, repr=False, compare=False)
     _tax_threshold: float = field(init=False, repr=False, compare=False)
     _r1: float = field(init=False, repr=False, compare=False)
     _r2: float = field(init=False, repr=False, compare=False)
@@ -41,14 +43,11 @@ class NetworkPair:
                 f"requires finite c2 > c1 > 0, got c1={self.c1}, c2={self.c2}"
             )
         r12 = math.sqrt(self.c1 * self.c2)
+        object.__setattr__(self, "total", self.c1 + self.c2)
         object.__setattr__(self, "_tax_threshold", self.c2 - r12)
         object.__setattr__(self, "_r1", math.sqrt(self.c1))
         object.__setattr__(self, "_r2", math.sqrt(self.c2))
         object.__setattr__(self, "_r12", r12)
-
-    @property
-    def total(self) -> float:
-        return self.c1 + self.c2
 
     def tax_threshold(self) -> float:
         """Demand level below which the selfish split is already optimal."""

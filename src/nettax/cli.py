@@ -18,11 +18,14 @@ import sys
 
 from . import analytics, equilibrium, scenario, simulator
 from .analytics import Demand, NetworkPair, Sensitivities
-from .simulator import _fmt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".9g")
 
 
 def _parse_alphas(text: str) -> Sensitivities:

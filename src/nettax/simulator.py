@@ -9,6 +9,14 @@ best-responding to load and tax changes until no profitable switch
 remains. A tax policy recomputes the price on the large network at every
 event from the currently carried load.
 
+The run's state is one record indexed by session id (``SystemState``):
+a byte per session naming its (network, class) group, the four group
+sizes, and the two carried loads stored from those sizes. A departure
+reads its session's group there, relaxation moves a session by
+rewriting its byte, and the departed prefix is trimmed as the oldest
+live session leaves, so the record spans the sids from the oldest live
+session on, however long the run.
+
 ``simulate`` hands each event's sample to a sink as it is made and keeps
 none: ``run`` collects them into a trace, ``nettax simulate`` streams them
 to its CSV, and sweeps pass no sink, so no sample is built at all.
@@ -21,7 +29,6 @@ numbers when they share the index.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import os
@@ -105,154 +112,113 @@ class SimConfig:
             )
 
 
+# The byte of a departed session in ``SystemState.where``; groups are 0-3.
+_GONE = 4
+
+
 class SystemState:
     """Active sessions and the per-network carried throughput.
 
-    ``groups`` is the one record of who is where: ``groups[(p, cls)]``
-    holds the ascending ids of the class-``cls`` sessions on network p, in
-    the order 1A, 1B, 2A, 2B, and a group's size is the ``len`` of its
-    list. ``lists`` holds the same four list objects in that order, so
-    that the hot paths unpack them in one step. ``loads[p]`` is the
-    throughput carried by network p, a stored cache. Whatever changes a
-    group of network p stores it again from the group sizes, as
-    n_pA * eps_A + n_pB * eps_B: ``admit`` and ``move`` here, and
-    ``simulate``, which books arrivals and departures on the lists in
-    place. So it has the same bits as recomputing it, and no
-    floating-point drift can accumulate. ``profiles`` maps each class to
-    its (throughput, alpha). ``consts`` holds the run's constants: c1, c2,
-    the handover hysteresis, the bands of networks 1 and 2, and the
-    profiles of classes A and B.
+    ``where`` is the one record of who is where: a ``bytearray`` with one
+    byte per session, indexed by sid less an offset that ``simulate``
+    keeps. The byte is the session's group: 0-3 for 1A, 1B, 2A, 2B, so
+    group g lies on network (g >> 1) + 1, holds class A when g is even,
+    and ``g ^ 2`` is the same class on the other network. A departed
+    session's byte is ``_GONE``. When the front session departs,
+    ``simulate`` deletes the departed prefix in place and advances its
+    offset, so ``where`` starts at the oldest live session: its first
+    byte, if any, names a live group. ``n[g]`` is the size of group g.
+    ``loads[i]`` is the throughput carried by network i + 1, a stored
+    cache. Whatever changes a group of a network stores its load again
+    from the group sizes, as n_A * eps_A + n_B * eps_B, on that network:
+    relaxation here, and ``simulate``, which books arrivals and departures
+    in place. So it has the same bits as recomputing it, and no
+    floating-point drift can accumulate. ``consts`` holds the run's
+    constants: c1, c2, the handover hysteresis, the bands of networks 1
+    and 2, and the (throughput, alpha) of classes A and B.
 
-    A session joins network p only if it ``fits``: ``loads[p] + eps < c_p``
-    can hold while the load then stored rounds to exactly c_p. Below the
-    band of network p, 1e-12 short of c_p, it always fits: one comparison.
+    A session joins group g only if it ``fits``: its network's load plus
+    eps can be below c while the load then stored rounds to exactly c.
+    Below the band of the network, 1e-12 short of c, it always fits: one
+    comparison.
     """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.groups: dict[tuple[int, str], list[int]] = {
-            (p, c): [] for p in (1, 2) for c in (CLASS_A, CLASS_B)
-        }
-        self.lists = tuple(self.groups.values())
-        self.profiles = {
-            c: (p.throughput, p.alpha) for c, p in ((CLASS_A, cfg.class_a), (CLASS_B, cfg.class_b))
-        }
-        self.loads = {1: 0.0, 2: 0.0}
-        c1, c2 = cfg.net.c1, cfg.net.c2
-        self.caps = {1: c1, 2: c2}
+        self.where = bytearray()
+        self.n = [0, 0, 0, 0]
+        self.loads = [0.0, 0.0]
+        c1, c2, a, b = cfg.net.c1, cfg.net.c2, cfg.class_a, cfg.class_b
         self.consts = (c1, c2, cfg.handover_hysteresis, c1 * (1.0 - 1e-12),
-                       c2 * (1.0 - 1e-12), self.profiles[CLASS_A], self.profiles[CLASS_B])
+                       c2 * (1.0 - 1e-12), (a.throughput, a.alpha), (b.throughput, b.alpha))
 
-    def fits(self, cls: str, p: int) -> bool:
-        """Whether network p has room for one more class-``cls`` session:
-        both its load plus the session's and the load then stored are
+    def fits(self, g: int) -> bool:
+        """Whether group g has room for one more session: both the load
+        of its network plus the session's and the load then stored are
         below capacity."""
-        groups, profiles, cap = self.groups, self.profiles, self.caps[p]
-        n_a = len(groups[(p, CLASS_A)]) + (cls == CLASS_A)
-        n_b = len(groups[(p, CLASS_B)]) + (cls == CLASS_B)
-        return (self.loads[p] + profiles[cls][0] < cap
-                and n_a * profiles[CLASS_A][0] + n_b * profiles[CLASS_B][0] < cap)
-
-    def admit(self, sid: int, cls: str, p: int) -> None:
-        groups = self.groups
-        bisect.insort(groups[(p, cls)], sid)
-        _, _, _, _, _, (eps_a, _), (eps_b, _) = self.consts
-        self.loads[p] = len(groups[(p, CLASS_A)]) * eps_a + len(groups[(p, CLASS_B)]) * eps_b
-
-    def move(self, sid: int, cls: str, q: int) -> None:
-        """Move session ``sid`` of class ``cls`` from network 3 - q to q."""
-        groups = self.groups
-        group = groups[(3 - q, cls)]
-        del group[bisect.bisect_left(group, sid)]
-        bisect.insort(groups[(q, cls)], sid)
-        on1a, on1b, on2a, on2b = self.lists
-        _, _, _, _, _, (eps_a, _), (eps_b, _) = self.consts
-        loads = self.loads
-        loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
-        loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
-
-
-def current_tax(state: SystemState) -> float:
-    """Price tau2 on network 2 for the currently carried load. Network 1
-    is never taxed, so this one float is the whole incentive signal.
-
-    OPTIMAL reads the true class-B carried load to pick the branch; APPROX
-    substitutes the long-run average class-B load eps_B * lambda_B / mu_B.
-    The magnitude only ever depends on the total load, which ``run()``
-    keeps below each network's capacity, so the demand is not checked.
-    ``simulate`` never calls it under NONE; OPTIMAL, the common rule, is
-    tested first, since an Enum member read through its class is slow.
-    """
-    cfg = state.cfg
-    _, _, _, _, _, (_, alpha_a), (eps_b, alpha_b) = state.consts
-    if cfg.policy is TaxPolicy.OPTIMAL:
-        _, on1b, _, on2b = state.lists
-        d_b = (len(on1b) + len(on2b)) * eps_b
-    elif cfg.policy is TaxPolicy.APPROX:
-        d_b = cfg.class_b.offered_load
-    else:
-        return 0.0
-    loads = state.loads
-    return _tau2(cfg.net, loads[1] + loads[2], d_b, alpha_a, alpha_b)[0]
+        c1, c2, _, _, _, (eps_a, _), (eps_b, _) = self.consts
+        n, i = self.n, g & 2
+        cap = c2 if i else c1
+        return (self.loads[g >> 1] + (eps_b if g & 1 else eps_a) < cap
+                and (n[i] + (g == i)) * eps_a + (n[i + 1] + (g != i)) * eps_b < cap)
 
 
 def choose_network(state: SystemState, cls: str, tau2: float) -> int | None:
     """Cheapest network admitting the user (own flow included), or None
     when both are full. Ties go to network 2, the larger one. A network is
     a candidate only if it has room (``SystemState.fits``), so f < c."""
-    c1, c2, _, band1, band2, _, _ = state.consts
-    eps, alpha = state.profiles[cls]
-    loads = state.loads
+    c1, c2, _, band1, band2, profile_a, profile_b = state.consts
+    k, (eps, alpha) = (0, profile_a) if cls == CLASS_A else (1, profile_b)
+    load1, load2 = state.loads
     best, best_cost = None, math.inf
-    load = loads[2] + eps
-    if load < band2 or state.fits(cls, 2):
+    load = load2 + eps
+    if load < band2 or state.fits(k + 2):
         best, best_cost = 2, 1.0 / (c2 - load) + alpha * tau2
-    load = loads[1] + eps
-    if (load < band1 or state.fits(cls, 1)) and 1.0 / (c1 - load) < best_cost:
+    load = load1 + eps
+    if (load < band1 or state.fits(k)) and 1.0 / (c1 - load) < best_cost:
         best = 1
     return best
 
 
-def _switching_groups(state: SystemState, tau2: float) -> list[tuple[int, str]]:
-    """The occupied (network, class) groups whose sessions would cut their
-    perceived cost by more than the hysteresis by moving to the other
-    network. All sessions of a group face identical costs, so the switch
-    decision is a per-group predicate, not a per-session one. The latency
-    of staying on a network is the same for both classes, so one call
-    computes at most 6 latencies 1 / (c - f), written out as in ``delay``:
-    a move needs room on the target (``SystemState.fits``), and staying at
-    capacity costs +inf."""
+def _switching_groups(state: SystemState, tau2: float) -> list[int]:
+    """The occupied groups whose sessions would cut their perceived cost
+    by more than the hysteresis by moving to the other network. All
+    sessions of a group face identical costs, so the switch decision is a
+    per-group predicate, not a per-session one. The latency of staying on
+    a network is the same for both classes, so one call computes at most 6
+    latencies 1 / (c - f), written out as in ``delay``: a move needs room
+    on the target (``SystemState.fits``), and staying at capacity costs
+    +inf."""
     c1, c2, hysteresis, band1, band2, (eps_a, alpha_a), (eps_b, alpha_b) = state.consts
-    on1a, on1b, on2a, on2b = state.lists
-    loads = state.loads
-    load1, load2 = loads[1], loads[2]
+    n1a, n1b, n2a, n2b = state.n
+    load1, load2 = state.loads
     stay1 = 1.0 / (c1 - load1) if load1 < c1 else math.inf
     stay2 = 1.0 / (c2 - load2) if load2 < c2 else math.inf
     out = []
-    if on1a:
+    if n1a:
         moved = load2 + eps_a
-        if (moved < band2 or state.fits(CLASS_A, 2)) and (
+        if (moved < band2 or state.fits(2)) and (
             1.0 / (c2 - moved) + alpha_a * tau2 < stay1 - hysteresis
         ):
-            out.append((1, CLASS_A))
-    if on2a:
+            out.append(0)
+    if n2a:
         moved = load1 + eps_a
-        if (moved < band1 or state.fits(CLASS_A, 1)) and (
+        if (moved < band1 or state.fits(0)) and (
             1.0 / (c1 - moved) < stay2 + alpha_a * tau2 - hysteresis
         ):
-            out.append((2, CLASS_A))
-    if on1b:
+            out.append(2)
+    if n1b:
         moved = load2 + eps_b
-        if (moved < band2 or state.fits(CLASS_B, 2)) and (
+        if (moved < band2 or state.fits(3)) and (
             1.0 / (c2 - moved) + alpha_b * tau2 < stay1 - hysteresis
         ):
-            out.append((1, CLASS_B))
-    if on2b:
+            out.append(1)
+    if n2b:
         moved = load1 + eps_b
-        if (moved < band1 or state.fits(CLASS_B, 1)) and (
+        if (moved < band1 or state.fits(1)) and (
             1.0 / (c1 - moved) < stay2 + alpha_b * tau2 - hysteresis
         ):
-            out.append((2, CLASS_B))
+            out.append(3)
     return out
 
 
@@ -262,17 +228,18 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
 
     One sweep moves, in ascending sid, every session that wants to switch
     when its turn comes. Whether a session wants to switch depends only on
-    its (network, class) group, and the state changes only when a session
-    moves. So a sweep is a cursor walk over ``state.groups``: ask which
-    non-empty groups want to switch (``_switching_groups``), move the
-    lowest sid above the cursor among them, set the cursor to that sid,
-    and repeat until no group yields one. The sessions it jumps over sit
-    in groups that do not want to switch, and a session moved earlier in
-    the sweep now lies at or below the cursor. This is the same sequence of
-    moves as visiting every session in ascending sid. Each state is asked
-    about once: a sweep starts from the answer that ended the last one, and
-    if no one wants to switch up front it returns (0, True) at once. When a
-    sweep ends with no group wanting to switch, the relaxation returns.
+    its group, and the state changes only when a session moves. So a
+    sweep is a cursor walk over ``state.where``: ask which occupied groups
+    want to switch (``_switching_groups``), find the first session of each
+    at or after the cursor, move the first of those by rewriting its byte
+    from g to g ^ 2, set the cursor just past it, and repeat until no
+    group yields one. The sessions it jumps over sit in groups that do not
+    want to switch, and a session moved earlier in the sweep now lies
+    before the cursor. This is the same sequence of moves as visiting
+    every session in ascending sid. Each state is asked about once: a
+    sweep starts from the answer that ended the last one, and if no one
+    wants to switch up front it returns (0, True) at once. When a sweep
+    ends with no group wanting to switch, the relaxation returns.
 
     Returns (total switches, converged). Convergence means no session can
     improve its perceived cost by more than the hysteresis by moving.
@@ -280,24 +247,28 @@ def handover_relaxation(state: SystemState, tau2: float) -> tuple[int, bool]:
     wanting = _switching_groups(state, tau2)
     if not wanting:
         return 0, True
-    groups = state.groups
+    where, n, loads = state.where, state.n, state.loads
+    _, _, _, _, _, (eps_a, _), (eps_b, _) = state.consts
     cap = state.cfg.max_handover_rounds
     if cap is None:
-        cap = 100 * sum(map(len, groups.values()))  # wanting names an occupied group
+        cap = 100 * sum(n)  # wanting names an occupied group
     total = 0
     for _ in range(cap):
-        cursor = -math.inf
+        cursor = 0
         while True:
-            nxt = None
-            for p, cls in wanting:
-                sids = groups[(p, cls)]
-                i = bisect.bisect_right(sids, cursor)
-                if i < len(sids) and (nxt is None or sids[i] < nxt):
-                    nxt, moving, q = sids[i], cls, 3 - p
-            if nxt is None:
+            nxt = -1
+            for g in wanting:
+                i = where.find(g, cursor)
+                if i >= 0 and (nxt < 0 or i < nxt):
+                    nxt, moving = i, g
+            if nxt < 0:
                 break
-            state.move(nxt, moving, q)
-            cursor = nxt
+            where[nxt] = moving ^ 2
+            n[moving] -= 1
+            n[moving ^ 2] += 1
+            loads[0] = n[0] * eps_a + n[1] * eps_b
+            loads[1] = n[2] * eps_a + n[3] * eps_b
+            cursor = nxt + 1
             total += 1
             wanting = _switching_groups(state, tau2)
         if not wanting:
@@ -374,8 +345,11 @@ def simulate(
 
     The tax in force is recomputed whenever an event changes the state,
     by the price rule picked once for the run: NONE has none, so tau2
-    stays 0.0, and every rule prices the empty system the run starts from
-    at 0.0, below the threshold.
+    stays 0.0; OPTIMAL prices the carried load with the carried class-B
+    load, and APPROX substitutes the long-run average class-B load
+    eps_B * lambda_B / mu_B. Every rule prices the empty system the run
+    starts from at 0.0, below the threshold. The total load stays below
+    the combined capacity, so the demand is not checked.
     Each event's admission / handover decisions use the pre-event tax; the
     sample carries the post-event tax, which is the one in force until the
     next event and hence that event's pre-event tax. Each sample goes to
@@ -383,28 +357,30 @@ def simulate(
     built. Time averages use exact piecewise-constant integration over
     [warmup, horizon].
 
-    The loop books arrivals and departures itself, in place on
-    ``state.lists``, and stores the load of the network it touched by the
-    rule of ``SystemState``; handover moves go through ``SystemState.move``.
+    The loop books arrivals and departures itself, in place on the record
+    of ``SystemState``, and stores the load of the network it touched by
+    the rule there. A departure's heap entry is (time, sid), and the
+    session's byte in ``where`` names its group.
     """
     random_ = random.Random(str(cfg.seed)).random
     log, inf = math.log, math.inf
-    heappush, heappop, bisect_left = heapq.heappush, heapq.heappop, bisect.bisect_left
+    heappush, heappop = heapq.heappush, heapq.heappop
     state = SystemState(cfg)
-    tax = None if cfg.policy is TaxPolicy.NONE else current_tax
-    choose, optimal_cost = choose_network, _optimal_cost
+    choose, optimal_cost, tau2_of = choose_network, _optimal_cost, _tau2
     relax = handover_relaxation if cfg.handovers else None
+    priced = cfg.policy is not TaxPolicy.NONE
+    carried, offered_b = cfg.policy is TaxPolicy.OPTIMAL, cfg.class_b.offered_load
     blocking = BlockingStats()
     arrivals, blocked = blocking.arrivals, blocking.blocked
     measured_arrivals = measured_blocked = warnings = events = 0
     warmup, horizon, net = cfg.warmup, cfg.horizon, cfg.net
-    c1, c2, _, _, _, (eps_a, _), (eps_b, _) = state.consts
-    loads = state.loads
-    on1a, on1b, on2a, on2b = state.lists
+    c1, c2, _, _, _, (eps_a, alpha_a), (eps_b, alpha_b) = state.consts
+    where, n, loads = state.where, state.n, state.loads
+    classes = (CLASS_A, CLASS_B, CLASS_A, CLASS_B)
 
-    # (t, sid, cls): (t, sid) is unique, so cls never decides the order.
-    departures: list[tuple[float, int, str]] = []
-    next_sid = 0
+    # (t, sid): unique, since sids are. Session sid has byte where[sid - base].
+    departures: list[tuple[float, int]] = []
+    base = 0
     # Each class draws with its arrival rate, then with 1 / mean duration.
     # A draw is random.expovariate's own formula, -log(1 - U) / rate.
     lam_a, lam_b = cfg.class_a.arrival_rate, cfg.class_b.arrival_rate
@@ -431,25 +407,27 @@ def simulate(
 
         changed = True
         if departing:
-            _, sid, cls = heappop(departures)
-            on1, on2 = (on1a, on2a) if cls == CLASS_A else (on1b, on2b)
-            i = bisect_left(on1, sid)
-            if i < len(on1) and on1[i] == sid:
-                del on1[i]
-                loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
-            else:
-                del on2[bisect_left(on2, sid)]
-                loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
-            kind = "dep"
+            i = heappop(departures)[1] - base
+            g = where[i]
+            where[i] = _GONE
+            n[g] -= 1
+            j = g & 2
+            loads[g >> 1] = n[j] * eps_a + n[j + 1] * eps_b
+            if i == 0:  # the front session left: drop the departed prefix
+                while i < len(where) and where[i] == _GONE:
+                    i += 1
+                del where[:i]
+                base += i
+            kind, cls = "dep", classes[g]
         else:
             # Fixed draw order (inter-arrival, then duration), consumed even
             # for blocked arrivals: keeps streams aligned across policies.
             if t_a <= t_b:
-                cls, on1, on2 = CLASS_A, on1a, on2a
+                cls, g = CLASS_A, 0
                 t_a = t + -log(1.0 - random_()) / lam_a
                 duration = -log(1.0 - random_()) / mu_a
             else:
-                cls, on1, on2 = CLASS_B, on1b, on2b
+                cls, g = CLASS_B, 1
                 t_b = t + -log(1.0 - random_()) / lam_b
                 duration = -log(1.0 - random_()) / mu_b
             in_window = t >= warmup
@@ -462,25 +440,25 @@ def simulate(
                 kind = "blk"
                 changed = False
             else:
-                # next_sid is above every sid so far: the list stays ascending.
-                if p == 1:
-                    on1.append(next_sid)
-                    loads[1] = len(on1a) * eps_a + len(on1b) * eps_b
-                else:
-                    on2.append(next_sid)
-                    loads[2] = len(on2a) * eps_a + len(on2b) * eps_b
-                heappush(departures, (t + duration, next_sid, cls))
-                next_sid += 1
+                # Blocked arrivals take no sid: the new session is the next byte.
+                heappush(departures, (t + duration, base + len(where)))
+                j = 2 * p - 2
+                g += j
+                where.append(g)
+                n[g] += 1
+                loads[p - 1] = n[j] * eps_a + n[j + 1] * eps_b
                 kind = "arr"
 
         if changed:
             if relax is not None and not relax(state, tau2)[1]:
                 warnings += 1
-            if tax:
-                tau2 = tax(state)
-            # A blocked arrival changes no load, so keeps the metrics too.
-            load1, load2 = loads[1], loads[2]
+            # A blocked arrival changes no load, so keeps the tax and the
+            # metrics too.
+            load1, load2 = loads
             load = load1 + load2
+            if priced:
+                d_b = (n[1] + n[3]) * eps_b if carried else offered_b
+                tau2 = tau2_of(net, load, d_b, alpha_a, alpha_b)[0]
             if load == 0:
                 cost = cost_opt = 0.0
                 poa = 1.0
@@ -492,8 +470,7 @@ def simulate(
 
         events += 1
         if sink is not None:
-            sink(Sample(t, load, tau2, cost, cost_opt, poa,
-                        len(on1a), len(on1b), len(on2a), len(on2b), kind + cls))
+            sink(Sample(t, load, tau2, cost, cost_opt, poa, n[0], n[1], n[2], n[3], kind + cls))
 
     lo = warmup if warmup > clock else clock
     if horizon > lo:
@@ -653,13 +630,9 @@ def blocking_crossing(points: list[tuple[float, float]], level: float) -> float 
 
 TRACE_HEADER = "t,D,tau2,C,C_opt,PoA,n1A,n1B,n2A,n2B,event"
 SUMMARY_HEADER = "load,policy,handover,mean_poa,se_poa,blocking_rate,replications"
-# One row from a Sample or a SweepRow; "%.9g" gives the same text as _fmt.
+# One row from a Sample or a SweepRow; "%.9g" gives the same text as cli._fmt.
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d,%d,%d,%s\n"
 SUMMARY_ROW = "%.9g,%s,%s,%.9g,%.9g,%.9g,%d\n"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:

@@ -19,14 +19,21 @@ then at 1e-6; the solver must return what it returns.
 API: the optimal tax, the report of ``taxed_equilibrium`` under it, and
 the flow-weighted latencies of that report.
 
+``state_from`` builds a simulator state from a list of placements, one
+(network, class) pair per sid or None for a departed session, and
+``placements_of`` reads that list back from a state. ``loads_of`` counts
+the placements and applies the load rule to the counts.
+
 ``wants_switch`` is the per-group switch predicate written out for one
 (network, class) group at a time, and ``reference_relaxation`` is the
 plain handover relaxation built on it: every sweep visits every session
-in ascending sid and asks it whether to switch.
+in ascending sid and asks it whether to switch. It keeps its own
+sid -> (network, class) map and never reads a simulator state.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -40,6 +47,10 @@ from nettax.equilibrium import (
     _solve_gap,
     taxed_equilibrium,
 )
+from nettax.simulator import _GONE, CLASS_A, CLASS_B, SimConfig, SystemState
+
+# The (network, class) pair of each group of ``SystemState``, by index.
+GROUPS = ((1, CLASS_A), (1, CLASS_B), (2, CLASS_A), (2, CLASS_B))
 
 
 def latency_curve(c: float, flows: np.ndarray) -> np.ndarray:
@@ -209,59 +220,88 @@ def latencies_of_report(net, demand_total: float, share_a: float, sens):
             weighted(rep.split.f1_b, rep.split.f2_b), lat_no_tax)
 
 
-def wants_switch(state, cls: str, p: int, tau2: float, hysteresis: float) -> bool:
+def loads_of(cfg: SimConfig, placements) -> list[float]:
+    """[load of network 1, load of network 2]: the sessions of each group
+    counted, then n_A * eps_A + n_B * eps_B on each network."""
+    n = collections.Counter(placements)
+    eps_a, eps_b = cfg.class_a.throughput, cfg.class_b.throughput
+    return [n[(p, CLASS_A)] * eps_a + n[(p, CLASS_B)] * eps_b for p in (1, 2)]
+
+
+def state_from(cfg: SimConfig, placements) -> SystemState:
+    """A state holding one session per entry of ``placements``, in
+    ascending sid from 0: its (network, class) pair, or None for a
+    session that has departed. Its loads follow ``loads_of``."""
+    state = SystemState(cfg)
+    for place in placements:
+        g = _GONE if place is None else GROUPS.index(place)
+        state.where.append(g)
+        if place is not None:
+            state.n[g] += 1
+    state.loads[:] = loads_of(cfg, placements)
+    return state
+
+
+def placements_of(state: SystemState) -> list:
+    """The placements ``state_from`` would build ``state`` from."""
+    return [None if g == _GONE else GROUPS[g] for g in state.where]
+
+
+def wants_switch(cfg: SimConfig, loads, p: int, cls: str, tau2: float) -> bool:
     """Whether sessions of class ``cls`` on network ``p`` cut their
-    perceived cost by more than ``hysteresis`` by moving to the other
-    network, which must have room for them. Only network 2 is taxed."""
-    net = state.cfg.net
-    eps, alpha = state.profiles[cls]
-    loads = state.loads
+    perceived cost by more than the hysteresis by moving to the other
+    network, which must have room for them. ``loads[p - 1]`` is the load
+    of network p. Only network 2 is taxed."""
+    net = cfg.net
+    profile = cfg.class_a if cls == CLASS_A else cfg.class_b
+    eps, alpha = profile.throughput, profile.alpha
     q = 2 if p == 1 else 1
     cap = {1: net.c1, 2: net.c2}
     tau = {1: 0.0, 2: tau2}
-    moved = loads[q] + eps
+    moved = loads[q - 1] + eps
     if moved >= cap[q]:
         return False
-    stay = 1.0 / (cap[p] - loads[p]) + alpha * tau[p]
+    stay = 1.0 / (cap[p] - loads[p - 1]) + alpha * tau[p]
     move = 1.0 / (cap[q] - moved) + alpha * tau[q]
-    return move < stay - hysteresis
+    return move < stay - cfg.handover_hysteresis
 
 
-def reference_relaxation(state, tau2: float) -> tuple[int, bool]:
+def reference_relaxation(cfg: SimConfig, placements, tau2: float):
     """Best-response sweeps over all sessions in ascending sid, with the
-    same round cap and result as ``simulator.handover_relaxation``. Each
-    round first tests whether any occupied group wants to switch at all,
-    and so does the exit at the round cap: the result reports convergence
-    whenever nobody wants to switch, however many rounds that took.
-    The sid -> (class, network) map is built here from ``state.groups``
-    and kept up to date with every move."""
-    cfg = state.cfg
-    where = {sid: (cls, p) for (p, cls), sids in state.groups.items() for sid in sids}
+    same round cap and result as ``simulator.handover_relaxation``, from
+    the state ``state_from(cfg, placements)`` holds. Each round first
+    tests whether any occupied group wants to switch at all, and so does
+    the exit at the round cap: the result reports convergence whenever
+    nobody wants to switch, however many rounds that took. Returns the
+    result and the placements after the last move; the loads are counted
+    afresh from the sid -> (network, class) map at every question."""
+    where = {sid: place for sid, place in enumerate(placements) if place}
     cap = cfg.max_handover_rounds
     if cap is None:
         cap = 100 * max(1, len(where))
 
+    def wants(p: int, cls: str) -> bool:
+        return wants_switch(cfg, loads_of(cfg, where.values()), p, cls, tau2)
+
     def settled() -> bool:
-        return not any(
-            sids and wants_switch(state, cls, p, tau2, cfg.handover_hysteresis)
-            for (p, cls), sids in state.groups.items()
-        )
+        return not any(wants(*place) for place in set(where.values()))
+
+    def result(switches: int, converged: bool):
+        return (switches, converged), [where.get(sid) for sid in range(len(placements))]
 
     total = 0
     rounds = 0
     while rounds < cap:
         rounds += 1
         if settled():
-            return total, True
+            return result(total, True)
         switched = 0
         for sid in sorted(where):
-            cls, p = where[sid]
-            if wants_switch(state, cls, p, tau2, cfg.handover_hysteresis):
-                q = 2 if p == 1 else 1
-                state.move(sid, cls, q)
-                where[sid] = (cls, q)
+            p, cls = where[sid]
+            if wants(p, cls):
+                where[sid] = (2 if p == 1 else 1, cls)
                 switched += 1
         total += switched
         if switched == 0:
-            return total, True
-    return total, settled()
+            return result(total, True)
+    return result(total, settled())

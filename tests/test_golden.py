@@ -122,9 +122,12 @@ def test_boundary_cases_reach_the_capacity_clause(handovers, monkeypatch):
     decided = []
 
     class Counted(SystemState):
-        def fits(self, cls, p):
-            ok = super().fits(cls, p)
-            decided.append(not ok and self.loads[p] + self.profiles[cls][0] < self.caps[p])
+        def fits(self, g):
+            ok = super().fits(g)
+            cfg = self.cfg
+            eps = cfg.class_b.throughput if g & 1 else cfg.class_a.throughput
+            cap = cfg.net.c2 if g & 2 else cfg.net.c1
+            decided.append(not ok and self.loads[g >> 1] + eps < cap)
             return ok
 
     monkeypatch.setattr(simulator, "SystemState", Counted)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from nettax import simulator
-from nettax.analytics import NetworkPair, optimal_assignment
+from nettax.analytics import NetworkPair, _tau2
 from nettax.simulator import (
     CLASS_A,
     CLASS_B,
@@ -14,7 +14,6 @@ from nettax.simulator import (
     TaxPolicy,
     blocking_crossing,
     choose_network,
-    current_tax,
     handover_relaxation,
     pooled_blocking_by_load,
     replication_config,
@@ -27,6 +26,7 @@ from nettax.simulator import (
 )
 
 import workloads
+from oracles import GROUPS, state_from, wants_switch
 
 NET = NetworkPair(4, 11)
 
@@ -47,14 +47,8 @@ def base_config(**overrides) -> SimConfig:
 
 
 def state_with(cfg: SimConfig, n1a=0, n1b=0, n2a=0, n2b=0) -> SystemState:
-    state = SystemState(cfg)
-    sid = 0
-    for count, cls, p in ((n1a, CLASS_A, 1), (n1b, CLASS_B, 1),
-                          (n2a, CLASS_A, 2), (n2b, CLASS_B, 2)):
-        for _ in range(count):
-            state.admit(sid, cls, p)
-            sid += 1
-    return state
+    counts = (n1a, n1b, n2a, n2b)
+    return state_from(cfg, [place for place, k in zip(GROUPS, counts) for _ in range(k)])
 
 
 def test_config_validation():
@@ -97,55 +91,52 @@ def test_hysteresis_must_be_finite_and_non_negative(value):
         base_config(handover_hysteresis=value)
 
 
-def tax_under(policy: TaxPolicy, cfg: SimConfig, **counts) -> float:
-    return current_tax(state_with(dataclasses.replace(cfg, policy=policy), **counts))
+def priced_run(policy: TaxPolicy) -> list:
+    """Samples of a run at offered load about 0.69 of capacity, which
+    starts empty and rises above the tax threshold, 4.37."""
+    return run(base_config(
+        class_a=ClassProfile(11.0, 4.0, 0.064, 2.0),
+        class_b=ClassProfile(16.5, 2.5, 0.184, 1.0),
+        policy=policy, horizon=8.0, warmup=0.0,
+    )).samples
+
+
+def tax_of(sample, d_b: float) -> float:
+    """The tax of the sample's load when the class-B load is ``d_b``."""
+    return _tau2(NET, sample.load, d_b, 2.0, 1.0)[0]
+
+
+def carried_b(sample) -> float:
+    return (sample.n1b + sample.n2b) * 0.184
 
 
 class TestCurrentTax:
+    """The tax in force after each event: every sample carries the price
+    of its own state, by the run's rule."""
+
     def test_none_policy(self):
-        cfg = base_config()
-        assert tax_under(TaxPolicy.NONE, cfg, n2b=40) == 0.0  # load 7.36, above threshold
+        samples = priced_run(TaxPolicy.NONE)
+        assert max(s.load for s in samples) > NET.tax_threshold()
+        assert all(s.tau2 == 0.0 for s in samples)
 
     def test_optimal_policy_uses_true_class_b_load(self):
-        # carried load 8 with class-B share 1: alpha_A branch
-        cfg = base_config(
-            class_a=ClassProfile(3.0, 4.0, 7.0, 2.0),
-            class_b=ClassProfile(4.5, 2.5, 1.0, 1.0),
-        )
-        tau2 = tax_under(TaxPolicy.OPTIMAL, cfg, n1a=1, n2b=1)
-        assert tau2 == pytest.approx(0.075378, abs=1e-6)
+        samples = priced_run(TaxPolicy.OPTIMAL)
+        assert all(s.tau2 == tax_of(s, carried_b(s)) for s in samples)
+        assert sum(s.tau2 > 0 for s in samples) > len(samples) / 2
 
     def test_below_threshold_no_tax(self):
-        cfg = base_config()
-        assert tax_under(TaxPolicy.OPTIMAL, cfg, n2b=10) == 0.0  # load 1.84
+        for policy in (TaxPolicy.OPTIMAL, TaxPolicy.APPROX):
+            below = [s for s in priced_run(policy) if s.load <= NET.tax_threshold()]
+            assert len(below) > 10
+            assert all(s.tau2 == 0.0 for s in below)
 
     def test_approx_policy_uses_average_class_b_load(self):
-        cfg = base_config()
-        assert cfg.class_b.offered_load == pytest.approx(4.5 * 2.5 * 0.184)
-        # same total load as the OPTIMAL test but the branch now comes from
-        # the 2.07 Mbit/s estimate, not the actual class-B carried load
-        cfg2 = base_config(
-            class_a=ClassProfile(3.0, 4.0, 1.0, 2.0),
-            class_b=ClassProfile(4.5, 2.5, 1.0, 1.0),
-        )
-        counts = dict(n1a=1, n2b=7)  # true d_B = 7 > f2_opt
-        opt = tax_under(TaxPolicy.OPTIMAL, cfg2, **counts)
-        approx = tax_under(TaxPolicy.APPROX, cfg2, **counts)
-        # estimate 4.5*2.5*1.0 = 11.25 > f2_opt too: branches agree here
-        assert approx == opt
-        # Halve the class-B throughput and double the class-B sessions: the
-        # carried loads are the same (total 8, true d_B = 7 > f2_opt), so
-        # OPTIMAL sets the same tax, but the estimate 4.5*2.5*0.5 = 5.625
-        # now lies below f2_opt and alone flips APPROX to the alpha_A branch.
-        cfg3 = dataclasses.replace(cfg2, class_b=ClassProfile(4.5, 2.5, 0.5, 1.0))
-        f2_opt = optimal_assignment(NET, 8.0).f2
-        assert cfg3.class_b.offered_load < f2_opt < 7.0 < cfg2.class_b.offered_load
-        counts3 = dict(n1a=1, n2b=14)
-        opt3 = tax_under(TaxPolicy.OPTIMAL, cfg3, **counts3)
-        approx3 = tax_under(TaxPolicy.APPROX, cfg3, **counts3)
-        assert opt3 == opt
-        # alpha_A = 2 instead of alpha_B = 1: half the tax.
-        assert approx3 == pytest.approx(opt3 / 2, rel=1e-12)
+        offered = 16.5 * 2.5 * 0.184
+        samples = priced_run(TaxPolicy.APPROX)
+        assert all(s.tau2 == tax_of(s, offered) for s in samples)
+        # The estimate, not the carried class-B load, picks the branch: in
+        # some states the two give different prices.
+        assert any(tax_of(s, offered) != tax_of(s, carried_b(s)) for s in samples)
 
 
 class TestChooseNetwork:
@@ -161,7 +152,7 @@ class TestChooseNetwork:
         )
         # network 2 carries 10.948 already; +0.184 would hit 11.132 >= 11
         state = state_with(cfg, n2b=59, n2a=1)
-        assert state.loads[2] == pytest.approx(10.956)
+        assert state.loads[1] == pytest.approx(10.956)
         assert choose_network(state, CLASS_B, 0.0) == 1
 
     def test_blocked_when_both_full(self):
@@ -179,15 +170,15 @@ class TestChooseNetwork:
         cfg = base_config()
         # Network 1 has no room for class B: 62 * 0.064 + 0.184 >= 4.
         state = state_with(cfg, n1a=62, n2a=54, n2b=40)
-        # One more B passes loads[2] + eps < c2, but the load the state
-        # would store, 54 * 0.064 + 41 * 0.184, is exactly c2: a saturated
-        # network with infinite delay. The arrival is blocked instead.
-        assert state.loads[2] + 0.184 < NET.c2
+        # One more B (group 3, 2B) passes loads[1] + eps < c2, but the load
+        # the state would store, 54 * 0.064 + 41 * 0.184, is exactly c2: a
+        # saturated network with infinite delay. The arrival is blocked.
+        assert state.loads[1] + 0.184 < NET.c2
         assert 54 * 0.064 + 41 * 0.184 == NET.c2
-        assert not state.fits(CLASS_B, 2)
+        assert not state.fits(3)
         assert choose_network(state, CLASS_B, 0.0) is None
-        # Class A still fits on network 2 there, with its own flow included.
-        assert state.fits(CLASS_A, 2)
+        # Class A (group 2, 2A) still fits there, with its own flow included.
+        assert state.fits(2)
         assert choose_network(state, CLASS_A, 0.0) == 2
 
     def test_tax_steers_price_averse_class(self):
@@ -202,7 +193,7 @@ class TestChooseNetwork:
         cfg = base_config(class_b=ClassProfile(4.5, 2.5, 1.0, 1.0))
         state = state_with(cfg, n2b=7)
         # Both delays are 1/3.0: 1/(11 - 8.0) on network 2, 1/(4 - 1.0) on 1.
-        assert 1 / (NET.c2 - (state.loads[2] + 1.0)) == 1 / (NET.c1 - 1.0)
+        assert 1 / (NET.c2 - (state.loads[1] + 1.0)) == 1 / (NET.c1 - 1.0)
         assert choose_network(state, CLASS_B, 0.0) == 2
 
 
@@ -236,8 +227,8 @@ class TestHandoverRelaxation:
         calls = count_switching_groups(monkeypatch)
         switches, converged = handover_relaxation(state, 0.0)
         assert (switches, converged) == (1, True)
-        assert len(state.groups[(2, CLASS_A)]) == 1
-        assert len(state.groups[(1, CLASS_A)]) == 0
+        assert state.n == [0, 0, 1, 0]
+        assert state.where == bytearray([2])  # 1A rewritten to 2A
         # One question up front and one after the move, which finds no
         # group that wants to switch: no second sweep asks again.
         assert len(calls) == 2
@@ -253,10 +244,10 @@ class TestHandoverRelaxation:
         # once the tax is gone and total load is below the threshold
         cfg = base_config()
         state = state_with(cfg, n1a=20, n2b=5)  # load 1.28 + 0.92 = 2.2
-        assert state.loads[1] + state.loads[2] < NET.tax_threshold()
+        assert sum(state.loads) < NET.tax_threshold()
         switches, converged = handover_relaxation(state, 0.0)
         assert converged
-        assert len(state.groups[(1, CLASS_A)]) == 0
+        assert state.n[0] == 0
         assert switches == 20
 
     def test_no_profitable_switch_after_convergence(self):
@@ -264,12 +255,9 @@ class TestHandoverRelaxation:
         state = state_with(cfg, n1a=30, n1b=10, n2a=10, n2b=30)
         _, converged = handover_relaxation(state, 0.05)
         assert converged
-        from oracles import wants_switch
-
-        for cls in (CLASS_A, CLASS_B):
-            for p in (1, 2):
-                if state.groups[(p, cls)]:
-                    assert not wants_switch(state, cls, p, 0.05, cfg.handover_hysteresis)
+        for g, (p, cls) in enumerate(GROUPS):
+            if state.n[g]:
+                assert not wants_switch(cfg, state.loads, p, cls, 0.05)
 
 
 class TestRun:
