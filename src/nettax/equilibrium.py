@@ -11,11 +11,11 @@ which is strictly increasing in f1, against the per-class indifference
 levels t_i = alpha_i * (tau2 - tau1). The candidate support patterns
 come in a fixed order (the more price-averse class migrates to the
 cheaper-taxed link first); the solver builds them one at a time and stops
-at the first that satisfies the equilibrium inequalities. g(f1) = t has a
-closed-form root, so no iteration is needed. Near saturation the latencies
-1/(c - f) are so ill-conditioned that rounding in the closed-form root can
-exceed the 1e-9 tolerance; there the solver re-checks the candidates it
-built at 1e-6. If none validates even then, it raises NoEquilibriumFound.
+at the first that satisfies the equilibrium inequalities at the
+tolerance, in one pass. g(f1) = t has a closed-form root, so no iteration
+is needed. Each candidate carries the slacks a = c - f of both networks,
+and the latencies are 1/a: near saturation c - f of the rounded flows
+would cancel, and the slacks do not.
 
 The search runs on floats in one kernel, ``_solve``. ``taxed_equilibrium``
 and ``class_latencies`` wrap it, and only ``taxed_equilibrium`` builds the
@@ -43,9 +43,9 @@ from .analytics import (
 
 
 class NoEquilibriumFound(RuntimeError):
-    """No candidate split validated, not even at the 1e-6 re-check: so near
-    saturation that rounding in 1/(c - f) exceeds 1e-6. An equilibrium
-    still exists."""
+    """No candidate validated at the tolerance. An equilibrium exists for
+    every demand below capacity; this guards against a game on which the
+    closed-form candidates all miss it, and none is known."""
 
 
 @dataclass(frozen=True)
@@ -91,48 +91,42 @@ class EquilibriumReport:
     residual: float
 
 
-def _solve_gap(net: NetworkPair, demand_total: float, t: float) -> float:
-    """Aggregate f1 with l1(f1) - l2(D - f1) = t, in closed form.
+def _solve_gap(s: float, t: float) -> tuple[float, float]:
+    """Slacks (a1, a2) = (c1 - f1, c2 - f2) with 1/a1 - 1/a2 = t and
+    a1 + a2 = s = c1 + c2 - D > 0, in closed form.
 
-    With a = c1 - f1 and s = c1 + c2 - D the condition is the quadratic
-    t*a^2 - (t*s + 2)*a + s = 0. Its root in (0, s) is
-    2s / ((u + 2) + sqrt(u^2 + 4)) with u = t*s, exact at t = 0; below
-    u = -2 that sum cancels, so there the same root is written as
-    ((u + 2) - sqrt(u^2 + 4)) / (2t), which adds two negative terms.
-    The root is clamped to [0, D] by the comparisons that max and min
-    make, so that NaN stays NaN.
+    The smaller slack is 2s / ((|u| + 2) + sqrt(u^2 + 4)) with u = t*s,
+    a root of |t|*a^2 - (|u| + 2)*a + s = 0 written as a sum of positive
+    terms, exact at t = 0. It is network 1's when u >= 0 (the tax
+    difference pushes flow onto network 1) and network 2's otherwise. The
+    larger slack is s minus the smaller, at least s/2, so neither slack
+    is a difference of nearly equal numbers.
     """
-    s = net.c1 + net.c2 - demand_total
     u = t * s
-    if u < -2.0:
-        a = ((u + 2.0) - math.sqrt(u * u + 4.0)) / (2.0 * t)
-    else:
-        a = 2.0 * s / ((u + 2.0) + math.sqrt(u * u + 4.0))
-    f1 = net.c1 - a
-    return 0.0 if f1 < 0.0 else demand_total if demand_total < f1 else f1
+    a = 2.0 * s / ((abs(u) + 2.0) + math.sqrt(u * u + 4.0))
+    return (a, s - a) if u >= 0.0 else (s - a, a)
 
 
-def _report(net, prices, split, tol):
-    """(l1, l2, residual, validates) of one candidate split
-    (f1_a, f1_b, f2_a, f2_b), with ``prices`` the products alpha_a * tau1,
-    alpha_a * tau2, alpha_b * tau1 and alpha_b * tau2.
+def _report(candidate, t_a, t_b, tol):
+    """(l1, l2, residual, validates) of one candidate (f1_a, f1_b, f2_a,
+    f2_b, a1, a2): its class flows and the slacks a = c - f of the two
+    networks, with t_i = alpha_i * (tau2 - tau1).
 
-    The residual is the largest cost advantage of the other network over
-    one carrying more than ``tol`` of a class; the split validates if it
-    is within ``tol`` scaled by the largest finite latency above 1. The
-    latencies are written out as in ``delay``: the flows are >= 0 or NaN.
-    A class's cost gap on network 2 is the negated gap on network 1, to
-    the bit; residual only takes a gap above 0.0, so its sign of zero and
-    NaN do not matter.
+    The latencies are 1/a, +inf at a slack of 0 or less. A class's cost
+    on network 1 less its cost on network 2 is l1 - l2 - t_i, so the
+    prices themselves, which can dwarf the latencies, never enter. The
+    residual is the largest cost advantage of the other network over one
+    carrying more than ``tol`` of a class; the candidate validates if it
+    is within ``tol`` scaled by the largest finite latency above 1.
+    residual only takes a gap above 0.0, so its sign of zero does not
+    matter.
     """
-    f1_a, f1_b, f2_a, f2_b = split
-    pa1, pa2, pb1, pb2 = prices
-    f1 = f1_a + f1_b
-    f2 = f2_a + f2_b
-    l1 = INF if f1 >= net.c1 else 1.0 / (net.c1 - f1)
-    l2 = INF if f2 >= net.c2 else 1.0 / (net.c2 - f2)
-    gap_a = l1 + pa1 - (l2 + pa2)
-    gap_b = l1 + pb1 - (l2 + pb2)
+    f1_a, f1_b, f2_a, f2_b, a1, a2 = candidate
+    l1 = 1.0 / a1 if a1 > 0.0 else INF
+    l2 = 1.0 / a2 if a2 > 0.0 else INF
+    gap = l1 - l2
+    gap_a = gap - t_a
+    gap_b = gap - t_b
     residual = gap_a if f1_a > tol and gap_a > 0.0 else 0.0
     if f2_a > tol and -gap_a > residual:
         residual = -gap_a
@@ -147,8 +141,8 @@ def _report(net, prices, split, tol):
 
 
 def _candidates(net, demand_total, d_a, d_b, t_a, t_b):
-    """Yields the candidate splits (f1_a, f1_b, f2_a, f2_b) in order, each
-    built only when asked for, so the solver stops at the first that
+    """Yields the candidates (f1_a, f1_b, f2_a, f2_b, a1, a2) in order,
+    each built only when asked for, so the solver stops at the first that
     validates. The class with the higher indifference level (the one the
     tax difference pushes toward network 1), X, fills network 1 first:
 
@@ -159,72 +153,70 @@ def _candidates(net, demand_total, d_a, d_b, t_a, t_b):
     5. everything on network 1.
 
     The body is written for X = A; for X = B it runs with the classes
-    swapped and swaps each split back. Infeasible aggregates are skipped.
-    Clamps are max and min written as the comparisons they make. The
-    first root needs no max, being >= 0. Network 2 needs no clamp: a
-    class's flow on network 1 never exceeds its demand d, so d - f1 >= 0,
-    and d - d == 0.0 and d - 0.0 == d are written out as such.
+    swapped and swaps each candidate back. A split is yielded when the
+    root puts the splitting class's flow on network 1 within [0, d], so
+    its flows need no clamp; a root beyond either end is the adjacent
+    corner, which is tried anyway. A root that rounds onto an end keeps
+    its own slacks, which can differ from the corner's by far more than
+    the tolerance when the class's flow on its lesser network is below an
+    ulp of the flows. Infeasible aggregates are skipped; the slack of one
+    network carrying everything is c - d_a - d_b rounded once.
     """
     if t_a < t_b:
-        for f1_b, f1_a, f2_b, f2_a in _candidates(net, demand_total, d_b, d_a, t_b, t_a):
-            yield f1_a, f1_b, f2_a, f2_b
+        for f1_b, f1_a, f2_b, f2_a, a1, a2 in _candidates(net, demand_total, d_b, d_a, t_b, t_a):
+            yield f1_a, f1_b, f2_a, f2_b, a1, a2
         return
-    slack = 1e-12 * max(1.0, demand_total)
-    f1 = _solve_gap(net, demand_total, t_a)
-    if f1 <= d_a + slack:
-        f1 = d_a if d_a < f1 else f1
-        yield f1, 0.0, d_a - f1, d_b
-    yield d_a, 0.0, 0.0, d_b
-    f1 = _solve_gap(net, demand_total, t_b)
-    if f1 >= d_a - slack:
-        f1 -= d_a
-        f1 = 0.0 if f1 < 0.0 else d_b if d_b < f1 else f1
-        yield d_a, f1, 0.0, d_b - f1
-    if demand_total < net.c2:
-        yield 0.0, 0.0, d_a, d_b
-    if demand_total < net.c1:
-        yield d_a, d_b, 0.0, 0.0
+    c1, c2 = net.c1, net.c2
+    s = c1 + c2 - demand_total
+    a1, a2 = _solve_gap(s, t_a)
+    f1 = c1 - a1
+    if 0.0 <= f1 <= d_a:
+        yield f1, 0.0, d_a - f1, d_b, a1, a2
+    yield d_a, 0.0, 0.0, d_b, c1 - d_a, c2 - d_b
+    a1, a2 = _solve_gap(s, t_b)
+    f1 = c1 - a1 - d_a
+    if 0.0 <= f1 <= d_b:
+        yield d_a, f1, 0.0, d_b - f1, a1, a2
+    if demand_total < c2:
+        yield 0.0, 0.0, d_a, d_b, c1, math.fsum((c2, -d_a, -d_b))
+    if demand_total < c1:
+        yield d_a, d_b, 0.0, 0.0, math.fsum((c1, -d_a, -d_b)), c2
 
 
 def _solve(net, d_a, d_b, alpha_a, alpha_b, tau1, tau2, tol):
-    """(split, l1, l2, residual, prices) of the equilibrium, for a demand
-    the caller has checked and tol > 0; the split is (f1_a, f1_b, f2_a,
-    f2_b), and ``prices`` is the argument of ``_report``.
+    """(split, l1, l2, residual) of the equilibrium, for a demand the
+    caller has checked and tol > 0; the split is (f1_a, f1_b, f2_a, f2_b).
 
     Without demand or tax difference the one split is reported as it is,
     proportional to demand at zero tax difference. Otherwise the result is
-    the first candidate that validates at ``tol``, else the first at 1e-6:
-    near saturation rounding in 1/(c - f) can exceed ``tol``, and then the
-    candidates, all built and kept by then, are checked again.
+    the first candidate that validates at ``tol``, in one pass.
     """
-    prices = (alpha_a * tau1, alpha_a * tau2, alpha_b * tau1, alpha_b * tau2)
     demand_total = d_a + d_b
     dtau = tau2 - tau1
+    t_a = alpha_a * dtau
+    t_b = alpha_b * dtau
     if demand_total == 0:
-        split = (0.0,) * 4
+        candidate = (0.0, 0.0, 0.0, 0.0, net.c1, net.c2)
     elif dtau == 0:
         f1, f2 = _wardrop_split(net, demand_total)
+        a1, a2 = (_solve_gap(net.total - demand_total, 0.0) if f1
+                  else (net.c1, math.fsum((net.c2, -d_a, -d_b))))
         share_a = d_a / demand_total
         share_b = 1.0 - share_a
-        split = (f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b)
+        candidate = (f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b, a1, a2)
     else:
-        splits = _candidates(net, demand_total, d_a, d_b, alpha_a * dtau, alpha_b * dtau)
         best = INF
-        for check_tol in (tol, 1e-6 if tol < 1e-6 else tol):
-            tried = []
-            for split in splits:
-                l1, l2, residual, ok = _report(net, prices, split, check_tol)
-                if ok:
-                    return split, l1, l2, residual, prices
-                best = min(best, residual)
-                tried.append(split)
-            splits = tried
+        for candidate in _candidates(net, demand_total, d_a, d_b, t_a, t_b):
+            l1, l2, residual, ok = _report(candidate, t_a, t_b, tol)
+            if ok:
+                return candidate[:4], l1, l2, residual
+            best = min(best, residual)
         raise NoEquilibriumFound(
             f"no equilibrium validated at demand {demand_total!r} "
             f"(d_a={d_a!r}, d_b={d_b!r}) against combined capacity "
             f"{net.total!r}; best residual {best}"
         )
-    return split, *_report(net, prices, split, tol)[:3], prices
+    return candidate[:4], *_report(candidate, t_a, t_b, tol)[:3]
 
 
 def taxed_equilibrium(
@@ -244,11 +236,11 @@ def taxed_equilibrium(
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     _check_demand(net, dem.total())
-    split, l1, l2, residual, (pa1, pa2, pb1, pb2) = _solve(
-        net, dem.d_a, dem.d_b, sens.alpha_a, sens.alpha_b, taxes.tau1, taxes.tau2, tol
-    )
+    a, b, tau1, tau2 = sens.alpha_a, sens.alpha_b, taxes.tau1, taxes.tau2
+    split, l1, l2, residual = _solve(net, dem.d_a, dem.d_b, a, b, tau1, tau2, tol)
     return EquilibriumReport(
-        ClassFlowSplit(*split), (l1, l2), (l1 + pa1, l2 + pa2), (l1 + pb1, l2 + pb2), residual
+        ClassFlowSplit(*split), (l1, l2), (l1 + a * tau1, l2 + a * tau2),
+        (l1 + b * tau1, l2 + b * tau2), residual
     )
 
 
@@ -287,7 +279,7 @@ def class_latencies(
     d_b = demand_total - d_a
     _check_demand(net, d_a + d_b)
     tau2 = _tau2(net, d_a + d_b, d_b, sens.alpha_a, sens.alpha_b)[0]
-    (f1_a, f1_b, f2_a, f2_b), l1, l2, *_ = _solve(
+    (f1_a, f1_b, f2_a, f2_b), l1, l2, _ = _solve(
         net, d_a, d_b, sens.alpha_a, sens.alpha_b, 0.0, tau2, 1e-9
     )
 

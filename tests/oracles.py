@@ -12,8 +12,12 @@ loop would find (per aggregate, the violation only depends on whether
 each class sits at 0, at its full demand, or strictly between).
 
 ``eager_equilibrium`` is the taxed equilibrium search with every
-candidate support built up front, checked in order at the tolerance and
-then at 1e-6; the solver must return what it returns.
+candidate support built up front and checked in order in one pass; the
+solver must return what it returns.
+
+``exact_equilibrium`` gives the equilibrium latencies in ``decimal``
+arithmetic from the exact values of the float inputs, with a root formula
+of its own, so that the solver's rounding error can be measured.
 
 ``latencies_of_report`` is ``class_latencies`` composed from the public
 API: the optimal tax, the report of ``taxed_equilibrium`` under it, and
@@ -34,7 +38,9 @@ sid -> (network, class) map and never reads a simulator state.
 from __future__ import annotations
 
 import collections
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -136,12 +142,6 @@ def wardrop_grid_oracle(
     return best_k * step, best_v
 
 
-def prices(sens, taxes) -> tuple[float, float, float, float]:
-    """The ``prices`` argument of the solver's ``_report``."""
-    return (sens.alpha_a * taxes.tau1, sens.alpha_a * taxes.tau2,
-            sens.alpha_b * taxes.tau1, sens.alpha_b * taxes.tau2)
-
-
 def validates(rep, tol: float) -> bool:
     """The solver's acceptance test applied to a report: the residual is
     within ``tol`` scaled by the largest finite latency above 1."""
@@ -150,12 +150,12 @@ def validates(rep, tol: float) -> bool:
 
 def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
     """``taxed_equilibrium`` for a game with demand and a tax difference,
-    searched eagerly: the full list of candidate supports is built first,
-    then the first split that validates at ``tol`` is returned, else the
-    first at 1e-6, else NoEquilibriumFound is raised with the solver's
-    message. It shares the closed-form root and the residual check with
-    the library, so it pins down which candidates are tried and in which
-    order, not the arithmetic of each."""
+    searched eagerly: the full list of candidates, each a class split with
+    the slacks c - f of both networks, is built first, then the first that
+    validates at ``tol`` is returned, else NoEquilibriumFound is raised
+    with the solver's message. It shares the closed-form root and the
+    residual check with the library, so it pins down which candidates are
+    tried and in which order, not the arithmetic of each."""
     demand_total = dem.total()
     dtau = taxes.tau2 - taxes.tau1
     assert demand_total > 0 and dtau != 0
@@ -163,40 +163,91 @@ def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
     a_first = t_a >= t_b
     d_x, d_y = (dem.d_a, dem.d_b) if a_first else (dem.d_b, dem.d_a)
     t_x, t_y = (t_a, t_b) if a_first else (t_b, t_a)
-    slack = 1e-12 * max(1.0, demand_total)
-    pairs = []  # (f1_x, f1_y)
-    f1 = _solve_gap(net, demand_total, t_x)
-    if f1 <= d_x + slack:
-        pairs.append((min(max(f1, 0.0), d_x), 0.0))
-    pairs.append((d_x, 0.0))
-    f1 = _solve_gap(net, demand_total, t_y)
-    if f1 >= d_x - slack:
-        pairs.append((d_x, min(max(f1 - d_x, 0.0), d_y)))
-    if demand_total < net.c2:
-        pairs.append((0.0, 0.0))
-    if demand_total < net.c1:
-        pairs.append((d_x, d_y))
-    splits = []
-    for f1_x, f1_y in pairs:
+    c1, c2 = net.c1, net.c2
+    s = c1 + c2 - demand_total
+    # (f1_x, f1_y, a1, a2); a split is kept if the root leaves the
+    # splitting class's flow on network 1 within its demand.
+    a1, a2 = _solve_gap(s, t_x)
+    pairs = [(c1 - a1, 0.0, a1, a2)] if 0.0 <= c1 - a1 <= d_x else []
+    pairs.append((d_x, 0.0, c1 - d_x, c2 - d_y))
+    a1, a2 = _solve_gap(s, t_y)
+    if 0.0 <= c1 - a1 - d_x <= d_y:
+        pairs.append((d_x, c1 - a1 - d_x, a1, a2))
+    if demand_total < c2:
+        pairs.append((0.0, 0.0, c1, math.fsum((c2, -d_x, -d_y))))
+    if demand_total < c1:
+        pairs.append((d_x, d_y, math.fsum((c1, -d_x, -d_y)), c2))
+    candidates = []
+    for f1_x, f1_y, a1, a2 in pairs:
         f1_a, f1_b = (f1_x, f1_y) if a_first else (f1_y, f1_x)
-        splits.append((f1_a, f1_b, max(dem.d_a - f1_a, 0.0), max(dem.d_b - f1_b, 0.0)))
+        candidates.append((f1_a, f1_b, dem.d_a - f1_a, dem.d_b - f1_b, a1, a2))
 
-    pay = prices(sens, taxes)
     best = math.inf
-    for check_tol in (tol, max(tol, 1e-6)):
-        for split in splits:
-            l1, l2, residual, ok = _report(net, pay, split, check_tol)
-            if ok:
-                return EquilibriumReport(
-                    ClassFlowSplit(*split), (l1, l2), (l1 + pay[0], l2 + pay[1]),
-                    (l1 + pay[2], l2 + pay[3]), residual,
-                )
-            best = min(best, residual)
+    for candidate in candidates:
+        l1, l2, residual, ok = _report(candidate, t_a, t_b, tol)
+        if ok:
+            a, b, tau1, tau2 = sens.alpha_a, sens.alpha_b, taxes.tau1, taxes.tau2
+            return EquilibriumReport(
+                ClassFlowSplit(*candidate[:4]), (l1, l2), (l1 + a * tau1, l2 + a * tau2),
+                (l1 + b * tau1, l2 + b * tau2), residual,
+            )
+        best = min(best, residual)
     raise NoEquilibriumFound(
         f"no equilibrium validated at demand {demand_total!r} "
         f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
         f"{net.total!r}; best residual {best}"
     )
+
+
+def exact_equilibrium(net, dem, sens, taxes, digits: int = 80) -> tuple[Decimal, Decimal]:
+    """The latencies (l1, l2) of the equilibrium, as Decimals computed at
+    ``digits`` significant digits from the exact values of the inputs.
+
+    The supports are the solver's, in its order, each checked on the
+    exact signs of the cost gaps l1 - l2 - alpha_i * (tau2 - tau1). A
+    class splits where network 1's slack a = c1 - f1 solves
+    t*a^2 - (u + 2)*a + s = 0 with s = c1 + c2 - D and u = t*s; the
+    root in (0, s) is taken the textbook way, ((u + 2) - sqrt(u^2 + 4))
+    / (2t), whose cancellation costs about 30 digits at most, and a gap
+    counts as zero within 10^(-digits/2) of l1 + l2. The aggregate
+    equilibrium is unique, so its latencies are too.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c1, c2, d_a, d_b, alpha_a, alpha_b, tau1, tau2 = map(Decimal, (
+            net.c1, net.c2, dem.d_a, dem.d_b, sens.alpha_a, sens.alpha_b,
+            taxes.tau1, taxes.tau2))
+        t_a, t_b = alpha_a * (tau2 - tau1), alpha_b * (tau2 - tau1)
+        # X is the class the tax difference pushes toward network 1.
+        d_x, d_y, t_x, t_y = (d_a, d_b, t_a, t_b) if t_a >= t_b else (d_b, d_a, t_b, t_a)
+        s = c1 + c2 - (d_x + d_y)
+        tiny = Decimal(10) ** -(digits // 2)
+
+        def slack1(t):
+            if t == 0:
+                return s / 2
+            u = t * s
+            return ((u + 2) - (u * u + 4).sqrt()) / (2 * t)
+
+        def latencies(f1_x, f1_y):
+            """(l1, l2) if the split is an equilibrium, else None."""
+            a1 = c1 - f1_x - f1_y
+            a2 = s - a1
+            if a1 <= 0 or a2 <= 0:
+                return None
+            l1, l2 = 1 / a1, 1 / a2
+            for t, on1, on2 in ((t_x, f1_x, d_x - f1_x), (t_y, f1_y, d_y - f1_y)):
+                gap = (l1 - l2 - t) / (l1 + l2)
+                if on1 < 0 or on2 < 0 or (on1 > 0 and gap > tiny) or (on2 > 0 and gap < -tiny):
+                    return None
+            return l1, l2
+
+        for f1_x, f1_y in ((c1 - slack1(t_x), 0), (d_x, 0), (d_x, c1 - slack1(t_y) - d_x),
+                           (0, 0), (d_x, d_y)):
+            found = latencies(f1_x, f1_y)
+            if found:
+                return found
+    raise AssertionError(f"no support is an equilibrium: {net}, {dem}, {sens}, {taxes}")
 
 
 def latencies_of_report(net, demand_total: float, share_a: float, sens):

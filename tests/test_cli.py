@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -119,18 +120,16 @@ class TestAnalyzeCommand:
         assert named in captured.err
         assert captured.out == ""
 
-    def test_no_equilibrium_near_saturation_exit_2(self, capsys):
+    def test_equilibrium_check_passes_near_saturation(self, capsys):
+        # 1e-10 below the combined capacity of 15.
         code = cli.main(
             ["analyze", "--c1", "4", "--c2", "11", "--demand", "14.9999999999",
              "--alphas", "2,1", "--db", "1"]
         )
-        assert code == 2
+        assert code == 0
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "error: no equilibrium validated at demand 14.9999999999 "
-        )
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        assert captured.err == ""
+        assert re.search(r"^equilibrium_check +PASS$", captured.out, re.MULTILINE)
 
 
 class TestFig2Command:
@@ -151,15 +150,19 @@ class TestFig2Command:
         for line in lines[1:]:
             assert float(line.split(",")[3]) == pytest.approx(0.285714, abs=1e-6)
 
-    def test_no_equilibrium_near_saturation_exit_2(self, tmp_path, capsys):
+    def test_curves_near_saturation(self, tmp_path, capsys):
+        # 1e-11 below the combined capacity of 15, on the default grid.
         out = tmp_path / "fig2.csv"
         code = cli.main(
             ["fig2", "--c1", "4", "--c2", "11", "--demand", "14.99999999999",
              "--alphas", "2,1", "--out", str(out)]
         )
-        assert code == 2
-        assert "demand 14.99999999999" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 102
+        for line in lines[1:]:
+            assert all(not math.isinf(float(v)) for v in line.split(","))
 
 
 class TestSimulateCommand:

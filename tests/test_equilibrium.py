@@ -1,13 +1,16 @@
 import dataclasses
 import math
 import random
+import sys
+from decimal import Decimal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nettax.analytics import (
     Demand,
+    DemandExceedsCapacity,
     NetworkPair,
     Sensitivities,
     TaxVector,
@@ -25,11 +28,20 @@ from nettax.equilibrium import (
     verify_proposition1,
 )
 
-from fingerprint import TAX_KINDS, solver_instance
-from oracles import eager_equilibrium, latencies_of_report, prices, validates, wardrop_grid_oracle
+from fingerprint import BANDS, TAX_KINDS, solver_instance
+from oracles import (
+    eager_equilibrium,
+    exact_equilibrium,
+    latencies_of_report,
+    validates,
+    wardrop_grid_oracle,
+)
 
 NET = NetworkPair(4, 11)
 SENS = Sensitivities(2, 1)
+# Prices near 1e11 with a tax difference near 1e-10: summed, the four
+# prices cancel to about 1e-5, an ulp of 1e11; the gaps take t = 30 and 10.
+PRICEY_GAME = (NET, Demand(7, 1), Sensitivities(3e11, 1e11), TaxVector(0.5, 0.5 + 1e-10))
 
 
 def test_class_flow_split_helpers():
@@ -106,79 +118,100 @@ class TestTaxedEquilibrium:
     def test_heavy_network1_tax_pushes_class_b_to_network1(self, tau1, d_a, d_b):
         # tau1 > tau2: class B, the less price-averse class, takes network
         # 1, where network 2's overflow of 1 must go (D is 0.8 of capacity).
-        # Network 2 is then within 1/(alpha_b * tau1) of its capacity, where
-        # only the 1e-6 re-check validates.
+        # Network 2 is then within 1/(alpha_b * tau1) of its capacity: its
+        # slack is the root's smaller one, not c2 - f2 of the flows.
         rep = taxed_equilibrium(NET, Demand(d_a, d_b), SENS, TaxVector(tau1, 0))
         assert rep.split.f1_a == 0
         assert rep.split.f1_b > 0
-        assert validates(rep, 1e-6)
+        assert validates(rep, 1e-9)
 
+    def test_prices_far_above_the_latencies(self):
+        rep = taxed_equilibrium(*PRICEY_GAME)
+        assert rep.split.f1_a > 0 and rep.split.f2_a > 0
+        assert validates(rep, 1e-9)
 
-class TestFallback:
-    def test_near_saturation_reaches_the_fallback(self):
-        # 1e-7 below capacity, rounding in 1/(c - f) exceeds the 1e-9
-        # tolerance of every closed-form candidate; the solver re-checks
-        # them at 1e-6.
+    def test_near_saturation_validates_at_the_tolerance(self):
+        # 1e-7 below capacity, where 1/(c - f) of the rounded flows would
+        # miss the 1e-9 tolerance and the carried slacks do not.
         dem = Demand(15 - 1e-7 - 1, 1)
         taxes = optimal_tax(NET, dem, SENS)
-        assert not some_candidate_validates(NET, dem, SENS, taxes, 1e-9)
-        assert validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-6)
+        assert validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-9)
         ok, diffs = verify_proposition1(NET, dem, SENS)
         assert ok, diffs
 
 
 def some_candidate_validates(net, dem, sens, taxes, tol):
     dtau = taxes.tau2 - taxes.tau1
-    splits = equilibrium._candidates(
-        net, dem.total(), dem.d_a, dem.d_b, sens.alpha_a * dtau, sens.alpha_b * dtau
-    )
-    pay = prices(sens, taxes)
-    return any(equilibrium._report(net, pay, split, tol)[3] for split in splits)
+    t_a, t_b = sens.alpha_a * dtau, sens.alpha_b * dtau
+    candidates = equilibrium._candidates(net, dem.total(), dem.d_a, dem.d_b, t_a, t_b)
+    return any(equilibrium._report(c, t_a, t_b, tol)[3] for c in candidates)
 
 
 @st.composite
 def solver_instances(draw):
-    """A taxed game at most (1 - 1e-5) of the way to saturation, with
-    taxes in either order, empty classes and demands within 1e-12 of c1,
-    c2 and the tax threshold, and tax differences down to 1e-13."""
+    """A taxed game with demand anywhere below capacity, down to one ulp
+    of headroom, with taxes in either order, empty classes, demands within
+    1e-12 of c1, c2 and the tax threshold, and tax differences from 1e-13
+    to 1e8."""
     c1 = draw(st.floats(0.1, 50))
     net = NetworkPair(c1, c1 + draw(st.floats(0.01, 100)))
-    cap = (1 - 1e-5) * net.total
-    anchor = draw(st.sampled_from([None, net.c1, net.c2, net.tax_threshold()]))
+    anchor = draw(st.sampled_from([None, net.c1, net.c2, net.tax_threshold(), net.total]))
     if anchor is None:
-        demand = draw(st.floats(0, cap))
+        demand = draw(st.floats(0, net.total, exclude_max=True))
+    elif anchor == net.total:
+        demand = net.total * draw(st.floats(1 - 1e-5, 1, exclude_max=True))
     else:
         demand = anchor + draw(st.floats(-1e-12, 1e-12))
     d_b = demand * draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
     dem = Demand(max(demand - d_b, 0.0), d_b)
-    assume(dem.total() <= cap)
+    assume(dem.total() < net.total)
     alpha_b = draw(st.floats(0.01, 10))
     sens = Sensitivities(alpha_b * draw(st.floats(1.001, 10)), alpha_b)
     if draw(st.booleans()):
         taxes = optimal_tax(net, dem, sens)
     else:
         tau1 = draw(st.sampled_from([0.0]) | st.floats(0, 10))
-        dtau = draw(st.floats(1e-13, 1e-7) | st.floats(0, 10))
+        dtau = draw(st.floats(1e-13, 1e-7) | st.floats(0, 10) | st.floats(10, 1e8))
         taxes = TaxVector(tau1, tau1 + dtau)
         if draw(st.booleans()):
             taxes = TaxVector(taxes.tau2, taxes.tau1)
     return net, dem, sens, taxes
 
 
+NEAR_C1 = 4 - 1e-9
+
+
+def corner_root_game(d_a, d_b, slack, alpha):
+    """A game on NET whose root for the class with sensitivity ``alpha``
+    leaves network 1 the given slack: network 2 alone is taxed."""
+    s = NET.total - (d_a + d_b)
+    return NET, Demand(d_a, d_b), SENS, TaxVector(0.0, (1 / slack - 1 / (s - slack)) / alpha)
+
+
 @settings(max_examples=300, deadline=None)
 @given(solver_instances())
+@example(PRICEY_GAME)
+# Roots within half an ulp of a corner, with network 1 loaded to 1e-9
+# below c1: the splitting class would carry 1e-16 on its lesser network,
+# which rounds to 0, and the corner's own slack misses the root's by 1e-7
+# relative. A splits; B splits with A filling network 1; B splits with
+# everything on network 1.
+@example(corner_root_game(NEAR_C1, 0.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_a))
+@example(corner_root_game(NEAR_C1, 1.0, (4 - NEAR_C1) - 1e-16, SENS.alpha_b))
+@example(corner_root_game(2.0, NEAR_C1 - 2.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_b))
 def test_some_candidate_split_validates(instance):
-    # Away from saturation the closed-form supports are complete at 1e-9:
-    # the 1e-6 re-check is never needed.
+    # Anywhere below capacity the closed-form supports are complete at
+    # 1e-9, with the slacks carried from the root.
     assert some_candidate_validates(*instance, 1e-9)
 
 
 def solver_outcome(solve, instance):
-    """The report, or the message of the NoEquilibriumFound raised."""
+    """The report, or the message of the NoEquilibriumFound or the
+    DemandExceedsCapacity raised."""
     try:
         return solve(*instance)
-    except NoEquilibriumFound as exc:
-        return f"NoEquilibriumFound: {exc}"
+    except (NoEquilibriumFound, DemandExceedsCapacity) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def takes_candidate_path(net, dem, sens, taxes) -> bool:
@@ -196,21 +229,50 @@ def test_lazy_search_equals_eager_search(instance):
 @pytest.mark.parametrize("headroom", [1e-6, 1e-9, 1e-11])
 def test_lazy_search_equals_eager_search_near_saturation(headroom):
     # The fingerprint's games (optimal or arbitrary taxes, differences up
-    # to 1e8) with demand exactly (1 - headroom) of the combined capacity.
+    # to 1e8) with demand exactly (1 - headroom) of the combined capacity:
+    # the two searches agree, and neither raises.
     rng = random.Random(f"near saturation/{headroom}")
-    paths = {"first pass": 0, "re-check": 0, "raised": 0}
     for k in range(400):
         instance = solver_instance(rng, (headroom, headroom), TAX_KINDS[k % 2])
-        if not takes_candidate_path(*instance):
-            continue
-        got = solver_outcome(taxed_equilibrium, instance)
-        assert got == solver_outcome(eager_equilibrium, instance)
-        if isinstance(got, str):
-            paths["raised"] += 1
-        else:
-            paths["first pass" if validates(got, 1e-9) else "re-check"] += 1
-    # Both passes of the search, and its failure, are compared here.
-    assert min(paths.values()) > 0, paths
+        if takes_candidate_path(*instance):
+            rep = taxed_equilibrium(*instance)
+            assert rep == eager_equilibrium(*instance)
+            assert validates(rep, 1e-9)
+
+
+# The relative error of a reported latency, to first order in
+# eps = 2**-52, with C = c1 + c2 and s = C - D exact:
+# - s is computed as (c1 + c2) - (d_a + d_b), three roundings that move
+#   it by at most eps * (C/s + 1/2) relative; t = alpha * (tau2 - tau1)
+#   takes two, at most eps.
+# - The smaller slack is s * x(t*s) with d ln x / d ln u in [-1, 0], so
+#   it moves by at most the larger of the two. The root takes five
+#   roundings (2.5 eps) and 1/a one more: eps * C/s + 3.5 eps.
+# - The larger slack s - a moves with s by a factor of at most
+#   1 + kappa, and with t by at most kappa, where kappa = (sqrt(2) - 1)/2,
+#   its largest sensitivity to u (at u = 2). The smaller slack's
+#   rounding, the subtraction and 1/a add 3.5 eps: in all
+#   (1 + kappa) * eps * C/s + 4.31 eps.
+# - A corner's slack c - d is one rounding, as is the slack c - d_a - d_b
+#   of a network carrying everything (math.fsum); the zero-tax slack s/2
+#   moves as s does.
+# Both bounds are within K * eps * (C/s + 1) for K >= max(1 + kappa, 4.31);
+# 4.4 leaves room for the second-order terms.
+LATENCY_ERROR_K = 4.4
+
+
+@pytest.mark.parametrize("kind", TAX_KINDS)
+@pytest.mark.parametrize("band", BANDS, ids=lambda band: "gap=({:g},{:g}]".format(*band))
+def test_latencies_are_within_the_rounding_bound_of_the_exact_answer(band, kind):
+    rng = random.Random(f"exact/{band}/{kind}")
+    for _ in range(2000):
+        net, dem, sens, taxes = instance = solver_instance(rng, band, kind)
+        c = Decimal(net.c1) + Decimal(net.c2)
+        c_over_s = float(c / (c - Decimal(dem.d_a) - Decimal(dem.d_b)))
+        bound = Decimal(LATENCY_ERROR_K * sys.float_info.epsilon * (c_over_s + 1))
+        got = taxed_equilibrium(*instance).latencies
+        for l, exact in zip(got, exact_equilibrium(*instance)):
+            assert abs(Decimal(l) - exact) <= bound * exact, (instance, got)
 
 
 class TestLazyCandidates:
@@ -259,21 +321,6 @@ class TestLazyCandidates:
         assert dataclasses.astuple(rep.split) == pytest.approx(split, abs=1e-4)
         assert calls == {"_solve_gap": roots, "built": builds, "_report": builds,
                          "ClassFlowSplit": 1, "EquilibriumReport": 1}
-
-    def test_recheck_builds_each_candidate_once(self, calls):
-        # The fallback case above: no candidate validates at 1e-9, and the
-        # 1e-6 re-check reuses the splits already built.
-        dem = Demand(15 - 1e-7 - 1, 1)
-        taxes = optimal_tax(NET, dem, SENS)
-        dtau = taxes.tau2 - taxes.tau1
-        built = len(list(equilibrium._candidates(
-            NET, dem.total(), dem.d_a, dem.d_b, SENS.alpha_a * dtau, SENS.alpha_b * dtau
-        )))
-        calls.update(dict.fromkeys(calls, 0))  # listing them was counted too
-        rep = taxed_equilibrium(NET, dem, SENS, taxes)
-        assert not validates(rep, 1e-9)
-        assert calls["_solve_gap"] == 2 and calls["built"] == built
-        assert built < calls["_report"] <= 2 * built
 
     def test_class_latencies_builds_no_report(self, calls):
         # The first case above, reached through class_latencies.

@@ -232,8 +232,8 @@ def test_sampled_load_is_the_sum_of_the_group_loads():
     # Handovers off: the loads change only by the arrivals and departures
     # the loop books itself. Every sample's load has the bits of the load
     # rule applied to its four counts, and no session is lost or made up.
-    # The offered load is about 0.97 of capacity, so both classes see
-    # blocked arrivals.
+    # The offered load is about 1.01 of capacity (15.14 against 15), so
+    # both classes see blocked arrivals.
     cfg = SimConfig(
         net=NetworkPair(4.0, 11.0),
         class_a=ClassProfile(16.0, 4.0, 0.064, 2.0),
