@@ -13,8 +13,7 @@ names the cells that moved.
 - ``solver`` cells: seeded ``taxed_equilibrium`` instances in bands of
   ``1 - D/C`` down to 1e-12, with the optimal tax or an arbitrary tax
   pair (either order, differences up to 1e8). One hash per (band, tax
-  kind) over the ``repr`` of each report or the message of each raised
-  ``NoEquilibriumFound``; the count of those raised is printed too.
+  kind) over the ``repr`` of each report.
 - ``latencies`` cells: ``class_latencies`` of each band's optimal-tax
   games, hashed the same way, one cell per band.
 
@@ -30,7 +29,7 @@ import hashlib
 import random
 
 from nettax.analytics import Demand, NetworkPair, Sensitivities, TaxVector, optimal_tax
-from nettax.equilibrium import NoEquilibriumFound, class_latencies, taxed_equilibrium
+from nettax.equilibrium import class_latencies, taxed_equilibrium
 from nettax.scenario import DEFAULT_SCENARIO, parse_scenario
 from nettax.simulator import TaxPolicy, replication_config, run
 
@@ -77,18 +76,11 @@ def solver_instance(rng: random.Random, band: tuple[float, float], kind: str):
 
 def hashed(name: str, solve, games) -> tuple[str, str]:
     """One cell: a hash over the ``repr`` of ``solve(*args)`` for each
-    args in ``games``, or the message of the NoEquilibriumFound it raised,
-    and the count raised."""
+    args in ``games``."""
     digest = hashlib.sha256()
-    raised = 0
     for args in games:
-        try:
-            out = repr(solve(*args))
-        except NoEquilibriumFound as exc:
-            out = f"NoEquilibriumFound: {exc}"
-            raised += 1
-        digest.update(out.encode() + b"\n")
-    return f"{name} raised={raised}", digest.hexdigest()
+        digest.update(repr(solve(*args)).encode() + b"\n")
+    return name, digest.hexdigest()
 
 
 def solver_cells(solves: int):

@@ -19,7 +19,6 @@ from .analytics import (
 from .equilibrium import (
     ClassFlowSplit,
     EquilibriumReport,
-    NoEquilibriumFound,
     class_latencies,
     taxed_equilibrium,
     verify_proposition1,
@@ -41,7 +40,6 @@ __all__ = [
     "EquilibriumReport",
     "FlowAssignment",
     "NetworkPair",
-    "NoEquilibriumFound",
     "Sensitivities",
     "SimConfig",
     "SimTrace",

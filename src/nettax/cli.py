@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, scenario.ScenarioError, equilibrium.NoEquilibriumFound) as exc:
+    except (ValueError, scenario.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

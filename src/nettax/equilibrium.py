@@ -2,22 +2,24 @@
 
 The fluid game: each class i in {A, B} places its demand d_i on the two
 links so that every link actually used by class i has minimal perceived
-cost latency + alpha_i * tau_p. With two links the equilibrium aggregate
-split is pinned down by the latency gap
+cost latency + alpha_i * tau_p. A class's cost on network 1 less its
+cost on network 2 is g - t_i, with t_i = alpha_i * (tau2 - tau1) and the
+latency gap
 
     g(f1) = l1(f1) - l2(D - f1),
 
-which is strictly increasing in f1, against the per-class indifference
-levels t_i = alpha_i * (tau2 - tau1). The candidate support patterns
-come in a fixed order (the more price-averse class migrates to the
-cheaper-taxed link first); the solver builds them one at a time and stops
-at the first that satisfies the equilibrium inequalities at the
-tolerance, in one pass. g(f1) = t has a closed-form root, so no iteration
-is needed. Each candidate carries the slacks a = c - f of both networks,
-and the latencies are 1/a: near saturation c - f of the rounded flows
-would cancel, and the slacks do not.
+which is strictly increasing in the aggregate f1. The costs are a shared
+latency plus a class constant, so the equilibrium minimizes a convex
+potential, strictly convex in the aggregate flows, and the aggregate is
+unique (Beckmann, McGuire & Winsten 1956, Studies in the Economics of
+Transportation). The class with the larger t_i fills network 1 first,
+so the support is computed, not searched for: it follows from where at
+most two closed-form roots of g = t_i fall. The solver carries the
+slacks a = c - f of both networks, and the latencies are 1/a: near
+saturation c - f of the rounded flows would cancel, and the slacks do
+not.
 
-The search runs on floats in one kernel, ``_solve``. ``taxed_equilibrium``
+The solver runs on floats in one kernel, ``_solve``. ``taxed_equilibrium``
 and ``class_latencies`` wrap it, and only ``taxed_equilibrium`` builds the
 dataclasses of a result, once per call.
 """
@@ -40,12 +42,6 @@ from .analytics import (
     _tau2,
     _wardrop_split,
 )
-
-
-class NoEquilibriumFound(RuntimeError):
-    """No candidate validated at the tolerance. An equilibrium exists for
-    every demand below capacity; this guards against a game on which the
-    closed-form candidates all miss it, and none is known."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,12 @@ class EquilibriumReport:
     """Solver output plus the diagnostics needed to audit it.
 
     ``residual`` is the largest violation of the equilibrium inequalities
-    found over all (network, class) pairs carrying flow; the solver
-    guarantees it does not exceed the tolerance it was called with.
+    over all (network, class) pairs carrying more than the tolerance. It
+    is reported, not enforced: the solver computes its support. The
+    property test of ``tests/test_equilibrium.py`` shows it within the
+    tolerance, scaled by the largest finite latency above 1, over all of
+    D < C, with latencies within a derived rounding bound of an exact
+    answer.
 
     Only the aggregate flows are contract-bearing at zero tax: the class
     decomposition is not unique there, and the solver reports the split
@@ -107,21 +107,19 @@ def _solve_gap(s: float, t: float) -> tuple[float, float]:
     return (a, s - a) if u >= 0.0 else (s - a, a)
 
 
-def _report(candidate, t_a, t_b, tol):
-    """(l1, l2, residual, validates) of one candidate (f1_a, f1_b, f2_a,
-    f2_b, a1, a2): its class flows and the slacks a = c - f of the two
-    networks, with t_i = alpha_i * (tau2 - tau1).
+def _report(point, t_a, t_b, tol):
+    """(l1, l2, residual) of a point (f1_a, f1_b, f2_a, f2_b, a1, a2):
+    its class flows and the slacks a = c - f of the two networks, with
+    t_i = alpha_i * (tau2 - tau1).
 
     The latencies are 1/a, +inf at a slack of 0 or less. A class's cost
     on network 1 less its cost on network 2 is l1 - l2 - t_i, so the
     prices themselves, which can dwarf the latencies, never enter. The
     residual is the largest cost advantage of the other network over one
-    carrying more than ``tol`` of a class; the candidate validates if it
-    is within ``tol`` scaled by the largest finite latency above 1.
-    residual only takes a gap above 0.0, so its sign of zero does not
-    matter.
+    carrying more than ``tol`` of a class. It only takes a gap above 0.0,
+    so its sign of zero does not matter.
     """
-    f1_a, f1_b, f2_a, f2_b, a1, a2 = candidate
+    f1_a, f1_b, f2_a, f2_b, a1, a2 = point
     l1 = 1.0 / a1 if a1 > 0.0 else INF
     l2 = 1.0 / a2 if a2 > 0.0 else INF
     gap = l1 - l2
@@ -134,53 +132,7 @@ def _report(candidate, t_a, t_b, tol):
         residual = gap_b
     if f2_b > tol and -gap_b > residual:
         residual = -gap_b
-    scale = l1 if 1.0 < l1 < INF else 1.0
-    if scale < l2 < INF:
-        scale = l2
-    return l1, l2, residual, residual <= tol * scale
-
-
-def _candidates(net, demand_total, d_a, d_b, t_a, t_b):
-    """Yields the candidates (f1_a, f1_b, f2_a, f2_b, a1, a2) in order,
-    each built only when asked for, so the solver stops at the first that
-    validates. The class with the higher indifference level (the one the
-    tax difference pushes toward network 1), X, fills network 1 first:
-
-    1. X splits, Y entirely on network 2;
-    2. X entirely on network 1, Y entirely on network 2;
-    3. Y splits, X entirely on network 1;
-    4. everything on network 2;
-    5. everything on network 1.
-
-    The body is written for X = A; for X = B it runs with the classes
-    swapped and swaps each candidate back. A split is yielded when the
-    root puts the splitting class's flow on network 1 within [0, d], so
-    its flows need no clamp; a root beyond either end is the adjacent
-    corner, which is tried anyway. A root that rounds onto an end keeps
-    its own slacks, which can differ from the corner's by far more than
-    the tolerance when the class's flow on its lesser network is below an
-    ulp of the flows. Infeasible aggregates are skipped; the slack of one
-    network carrying everything is c - d_a - d_b rounded once.
-    """
-    if t_a < t_b:
-        for f1_b, f1_a, f2_b, f2_a, a1, a2 in _candidates(net, demand_total, d_b, d_a, t_b, t_a):
-            yield f1_a, f1_b, f2_a, f2_b, a1, a2
-        return
-    c1, c2 = net.c1, net.c2
-    s = c1 + c2 - demand_total
-    a1, a2 = _solve_gap(s, t_a)
-    f1 = c1 - a1
-    if 0.0 <= f1 <= d_a:
-        yield f1, 0.0, d_a - f1, d_b, a1, a2
-    yield d_a, 0.0, 0.0, d_b, c1 - d_a, c2 - d_b
-    a1, a2 = _solve_gap(s, t_b)
-    f1 = c1 - a1 - d_a
-    if 0.0 <= f1 <= d_b:
-        yield d_a, f1, 0.0, d_b - f1, a1, a2
-    if demand_total < c2:
-        yield 0.0, 0.0, d_a, d_b, c1, math.fsum((c2, -d_a, -d_b))
-    if demand_total < c1:
-        yield d_a, d_b, 0.0, 0.0, math.fsum((c1, -d_a, -d_b)), c2
+    return l1, l2, residual
 
 
 def _solve(net, d_a, d_b, alpha_a, alpha_b, tau1, tau2, tol):
@@ -188,35 +140,53 @@ def _solve(net, d_a, d_b, alpha_a, alpha_b, tau1, tau2, tol):
     caller has checked and tol > 0; the split is (f1_a, f1_b, f2_a, f2_b).
 
     Without demand or tax difference the one split is reported as it is,
-    proportional to demand at zero tax difference. Otherwise the result is
-    the first candidate that validates at ``tol``, in one pass.
+    proportional to demand at zero tax difference. Otherwise class X, the
+    one with the larger t = alpha * (tau2 - tau1) (A on a tie), fills
+    network 1 first. If the root of g = t_X puts less than 0 on network
+    1, everything goes on network 2; if at most d_X, X splits. Otherwise
+    X fills network 1, and the root of g = t_Y, less d_X, is Y's flow on
+    network 1: below 0 gives the corner (X on network 1, Y on network 2),
+    at most d_Y a split of Y, and more puts everything on network 1. A
+    split keeps its root's slacks, also when the root rounds onto an end:
+    the class's flow on its lesser network is then below an ulp of the
+    flows, and the corner's slack can miss the root's by far more than
+    rounding. A corner's slack is c - d rounded once, and that of a
+    network carrying everything c - d_a - d_b rounded once.
     """
     demand_total = d_a + d_b
     dtau = tau2 - tau1
     t_a = alpha_a * dtau
     t_b = alpha_b * dtau
+    c1, c2 = net.c1, net.c2
     if demand_total == 0:
-        candidate = (0.0, 0.0, 0.0, 0.0, net.c1, net.c2)
+        point = (0.0, 0.0, 0.0, 0.0, c1, c2)
     elif dtau == 0:
         f1, f2 = _wardrop_split(net, demand_total)
         a1, a2 = (_solve_gap(net.total - demand_total, 0.0) if f1
-                  else (net.c1, math.fsum((net.c2, -d_a, -d_b))))
+                  else (c1, math.fsum((c2, -d_a, -d_b))))
         share_a = d_a / demand_total
         share_b = 1.0 - share_a
-        candidate = (f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b, a1, a2)
+        point = (f1 * share_a, f1 * share_b, f2 * share_a, f2 * share_b, a1, a2)
     else:
-        best = INF
-        for candidate in _candidates(net, demand_total, d_a, d_b, t_a, t_b):
-            l1, l2, residual, ok = _report(candidate, t_a, t_b, tol)
-            if ok:
-                return candidate[:4], l1, l2, residual
-            best = min(best, residual)
-        raise NoEquilibriumFound(
-            f"no equilibrium validated at demand {demand_total!r} "
-            f"(d_a={d_a!r}, d_b={d_b!r}) against combined capacity "
-            f"{net.total!r}; best residual {best}"
-        )
-    return candidate[:4], *_report(candidate, t_a, t_b, tol)[:3]
+        x_is_a = t_a >= t_b
+        d_x, d_y, t_x, t_y = (d_a, d_b, t_a, t_b) if x_is_a else (d_b, d_a, t_b, t_a)
+        s = c1 + c2 - demand_total
+        a1, a2 = _solve_gap(s, t_x)
+        f1_x = c1 - a1
+        f1_y = 0.0
+        if f1_x < 0.0:
+            f1_x, a1, a2 = 0.0, c1, math.fsum((c2, -d_a, -d_b))
+        elif f1_x > d_x:
+            a1, a2 = _solve_gap(s, t_y)
+            f1_x = d_x
+            f1_y = c1 - a1 - d_x
+            if f1_y < 0.0:
+                f1_y, a1, a2 = 0.0, c1 - d_x, c2 - d_y
+            elif f1_y > d_y:
+                f1_y, a1, a2 = d_y, math.fsum((c1, -d_a, -d_b)), c2
+        f1_a, f1_b = (f1_x, f1_y) if x_is_a else (f1_y, f1_x)
+        point = (f1_a, f1_b, d_a - f1_a, d_b - f1_b, a1, a2)
+    return point[:4], *_report(point, t_a, t_b, tol)
 
 
 def taxed_equilibrium(
@@ -228,10 +198,13 @@ def taxed_equilibrium(
 ) -> EquilibriumReport:
     """Equilibrium flows of the two-class game under the given taxes.
 
-    Every (network, class) pair carrying more than ``tol`` flow has
-    perceived cost within ``tol`` (scaled by the latency magnitude) of the
-    cheapest alternative. At zero tax difference the class decomposition is
-    reported proportional to demand; only aggregates are unique there.
+    The support is computed from the closed-form roots of the latency
+    gap. ``tol`` decides which flows count as carried in the reported
+    ``residual``: every (network, class) pair carrying more than ``tol``
+    has perceived cost within ``tol`` (scaled by the latency magnitude)
+    of the cheapest alternative. At zero tax difference the class
+    decomposition is reported proportional to demand; only aggregates are
+    unique there.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -11,10 +11,6 @@ aggregate; the scan below evaluates exactly the minimum the naive double
 loop would find (per aggregate, the violation only depends on whether
 each class sits at 0, at its full demand, or strictly between).
 
-``eager_equilibrium`` is the taxed equilibrium search with every
-candidate support built up front and checked in order in one pass; the
-solver must return what it returns.
-
 ``exact_equilibrium`` gives the equilibrium latencies in ``decimal``
 arithmetic from the exact values of the float inputs, with a root formula
 of its own, so that the solver's rounding error can be measured.
@@ -45,14 +41,7 @@ from decimal import Decimal
 import numpy as np
 
 from nettax.analytics import Demand, optimal_tax, total_cost, wardrop_no_tax
-from nettax.equilibrium import (
-    ClassFlowSplit,
-    EquilibriumReport,
-    NoEquilibriumFound,
-    _report,
-    _solve_gap,
-    taxed_equilibrium,
-)
+from nettax.equilibrium import taxed_equilibrium
 from nettax.simulator import _GONE, CLASS_A, CLASS_B, SimConfig, SystemState
 
 # The (network, class) pair of each group of ``SystemState``, by index.
@@ -143,74 +132,25 @@ def wardrop_grid_oracle(
 
 
 def validates(rep, tol: float) -> bool:
-    """The solver's acceptance test applied to a report: the residual is
+    """Whether a report is an equilibrium at ``tol``: its residual is
     within ``tol`` scaled by the largest finite latency above 1."""
     return rep.residual <= tol * max([1.0, *(l for l in rep.latencies if l < math.inf)])
-
-
-def eager_equilibrium(net, dem, sens, taxes, tol: float = 1e-9):
-    """``taxed_equilibrium`` for a game with demand and a tax difference,
-    searched eagerly: the full list of candidates, each a class split with
-    the slacks c - f of both networks, is built first, then the first that
-    validates at ``tol`` is returned, else NoEquilibriumFound is raised
-    with the solver's message. It shares the closed-form root and the
-    residual check with the library, so it pins down which candidates are
-    tried and in which order, not the arithmetic of each."""
-    demand_total = dem.total()
-    dtau = taxes.tau2 - taxes.tau1
-    assert demand_total > 0 and dtau != 0
-    t_a, t_b = sens.alpha_a * dtau, sens.alpha_b * dtau
-    a_first = t_a >= t_b
-    d_x, d_y = (dem.d_a, dem.d_b) if a_first else (dem.d_b, dem.d_a)
-    t_x, t_y = (t_a, t_b) if a_first else (t_b, t_a)
-    c1, c2 = net.c1, net.c2
-    s = c1 + c2 - demand_total
-    # (f1_x, f1_y, a1, a2); a split is kept if the root leaves the
-    # splitting class's flow on network 1 within its demand.
-    a1, a2 = _solve_gap(s, t_x)
-    pairs = [(c1 - a1, 0.0, a1, a2)] if 0.0 <= c1 - a1 <= d_x else []
-    pairs.append((d_x, 0.0, c1 - d_x, c2 - d_y))
-    a1, a2 = _solve_gap(s, t_y)
-    if 0.0 <= c1 - a1 - d_x <= d_y:
-        pairs.append((d_x, c1 - a1 - d_x, a1, a2))
-    if demand_total < c2:
-        pairs.append((0.0, 0.0, c1, math.fsum((c2, -d_x, -d_y))))
-    if demand_total < c1:
-        pairs.append((d_x, d_y, math.fsum((c1, -d_x, -d_y)), c2))
-    candidates = []
-    for f1_x, f1_y, a1, a2 in pairs:
-        f1_a, f1_b = (f1_x, f1_y) if a_first else (f1_y, f1_x)
-        candidates.append((f1_a, f1_b, dem.d_a - f1_a, dem.d_b - f1_b, a1, a2))
-
-    best = math.inf
-    for candidate in candidates:
-        l1, l2, residual, ok = _report(candidate, t_a, t_b, tol)
-        if ok:
-            a, b, tau1, tau2 = sens.alpha_a, sens.alpha_b, taxes.tau1, taxes.tau2
-            return EquilibriumReport(
-                ClassFlowSplit(*candidate[:4]), (l1, l2), (l1 + a * tau1, l2 + a * tau2),
-                (l1 + b * tau1, l2 + b * tau2), residual,
-            )
-        best = min(best, residual)
-    raise NoEquilibriumFound(
-        f"no equilibrium validated at demand {demand_total!r} "
-        f"(d_a={dem.d_a!r}, d_b={dem.d_b!r}) against combined capacity "
-        f"{net.total!r}; best residual {best}"
-    )
 
 
 def exact_equilibrium(net, dem, sens, taxes, digits: int = 80) -> tuple[Decimal, Decimal]:
     """The latencies (l1, l2) of the equilibrium, as Decimals computed at
     ``digits`` significant digits from the exact values of the inputs.
 
-    The supports are the solver's, in its order, each checked on the
-    exact signs of the cost gaps l1 - l2 - alpha_i * (tau2 - tau1). A
-    class splits where network 1's slack a = c1 - f1 solves
-    t*a^2 - (u + 2)*a + s = 0 with s = c1 + c2 - D and u = t*s; the
-    root in (0, s) is taken the textbook way, ((u + 2) - sqrt(u^2 + 4))
-    / (2t), whose cancellation costs about 30 digits at most, and a gap
-    counts as zero within 10^(-digits/2) of l1 + l2. The aggregate
-    equilibrium is unique, so its latencies are too.
+    The five supports are tried in turn, each checked on the exact signs
+    of the cost gaps l1 - l2 - alpha_i * (tau2 - tau1), where the solver
+    computes which one holds. A class splits where network 1's slack
+    a = c1 - f1 solves t*a^2 - (u + 2)*a + s = 0 with s = c1 + c2 - D
+    and u = t*s; the root in (0, s) is taken in the rationalised form
+    2s / ((u + 2) + sqrt(u^2 + 4)), exact at t = 0. It cancels only for
+    u < -2, and there loses about log10|u| digits, fewer than 15 for the
+    games the tests draw; a gap counts as zero within 10^(-digits/2) of
+    l1 + l2. The aggregate equilibrium is unique, so its latencies are
+    too.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = digits
@@ -224,10 +164,8 @@ def exact_equilibrium(net, dem, sens, taxes, digits: int = 80) -> tuple[Decimal,
         tiny = Decimal(10) ** -(digits // 2)
 
         def slack1(t):
-            if t == 0:
-                return s / 2
             u = t * s
-            return ((u + 2) - (u * u + 4).sqrt()) / (2 * t)
+            return 2 * s / ((u + 2) + (u * u + 4).sqrt())
 
         def latencies(f1_x, f1_y):
             """(l1, l2) if the split is an equilibrium, else None."""

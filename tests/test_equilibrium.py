@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -19,10 +18,8 @@ from nettax.analytics import (
     optimal_tax,
     wardrop_no_tax,
 )
-from nettax import equilibrium
 from nettax.equilibrium import (
     ClassFlowSplit,
-    NoEquilibriumFound,
     class_latencies,
     taxed_equilibrium,
     verify_proposition1,
@@ -30,7 +27,6 @@ from nettax.equilibrium import (
 
 from fingerprint import BANDS, TAX_KINDS, solver_instance
 from oracles import (
-    eager_equilibrium,
     exact_equilibrium,
     latencies_of_report,
     validates,
@@ -111,7 +107,10 @@ class TestTaxedEquilibrium:
         ],
     )
     def test_network1_tax_root_needs_no_fallback(self, dem, taxes):
-        assert some_candidate_validates(NET, dem, SENS, taxes, 1e-9)
+        instance = (NET, dem, SENS, taxes)
+        rep = taxed_equilibrium(*instance)
+        assert validates(rep, 1e-9)
+        assert_near_exact(instance, rep.latencies)
 
     @pytest.mark.parametrize("tau1", [1e7, 1e8, 1e9])
     @pytest.mark.parametrize("d_a, d_b", [(6, 6), (8, 4), (10, 2), (5, 7)])
@@ -138,13 +137,6 @@ class TestTaxedEquilibrium:
         assert validates(taxed_equilibrium(NET, dem, SENS, taxes), 1e-9)
         ok, diffs = verify_proposition1(NET, dem, SENS)
         assert ok, diffs
-
-
-def some_candidate_validates(net, dem, sens, taxes, tol):
-    dtau = taxes.tau2 - taxes.tau1
-    t_a, t_b = sens.alpha_a * dtau, sens.alpha_b * dtau
-    candidates = equilibrium._candidates(net, dem.total(), dem.d_a, dem.d_b, t_a, t_b)
-    return any(equilibrium._report(c, t_a, t_b, tol)[3] for c in candidates)
 
 
 @st.composite
@@ -188,6 +180,21 @@ def corner_root_game(d_a, d_b, slack, alpha):
     return NET, Demand(d_a, d_b), SENS, TaxVector(0.0, (1 / slack - 1 / (s - slack)) / alpha)
 
 
+# A corner within 1e-9 of the equilibrium inequalities that is not the
+# equilibrium: everything on network 2 has residual 7.5e-10, but class B
+# splits, and the exact l1 is 1.000000000377...
+SMALL_GAME = (NetworkPair(1.0, 2.0), Demand(0.0, 1.0), Sensitivities(0.03125, 0.015625),
+              TaxVector(0.0, 4.829306718540839e-08))
+# Large capacities and little demand under the optimal tax, where every
+# latency is below 1: class A on network 1 is within 1e-9 too, but the
+# equilibrium has everything on network 2, and l1 differs by 3e-5
+# relative.
+LARGE_GAME = (NetworkPair(70862.89840576527, 70922.93827129588),
+              Demand(2.3078941138503453, 27.718394691134332),
+              Sensitivities(2.259796666686712, 0.23270700139546704))
+LARGE_GAME += (optimal_tax(*LARGE_GAME),)
+
+
 @settings(max_examples=300, deadline=None)
 @given(solver_instances())
 @example(PRICEY_GAME)
@@ -199,45 +206,26 @@ def corner_root_game(d_a, d_b, slack, alpha):
 @example(corner_root_game(NEAR_C1, 0.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_a))
 @example(corner_root_game(NEAR_C1, 1.0, (4 - NEAR_C1) - 1e-16, SENS.alpha_b))
 @example(corner_root_game(2.0, NEAR_C1 - 2.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_b))
-def test_some_candidate_split_validates(instance):
-    # Anywhere below capacity the closed-form supports are complete at
-    # 1e-9, with the slacks carried from the root.
-    assert some_candidate_validates(*instance, 1e-9)
+@example(SMALL_GAME)
+@example(LARGE_GAME)
+# A tax difference of 3e-64: the exact oracle's root must not cancel.
+@example((NetworkPair(1.0, 2.0), Demand(2.0, 0.0), Sensitivities(2.0, 1.0),
+          TaxVector(0.0, 3.0090554726053768e-64)))
+def test_report_validates_and_is_near_the_exact_answer(instance):
+    # Anywhere below capacity the computed support validates at 1e-9,
+    # with the slacks carried from the root, and its latencies are the
+    # exact equilibrium's up to rounding.
+    rep = taxed_equilibrium(*instance)
+    assert validates(rep, 1e-9)
+    assert_near_exact(instance, rep.latencies)
 
 
 def solver_outcome(solve, instance):
-    """The report, or the message of the NoEquilibriumFound or the
-    DemandExceedsCapacity raised."""
+    """The report, or the message of the DemandExceedsCapacity raised."""
     try:
         return solve(*instance)
-    except (NoEquilibriumFound, DemandExceedsCapacity) as exc:
+    except DemandExceedsCapacity as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def takes_candidate_path(net, dem, sens, taxes) -> bool:
-    return dem.total() > 0 and taxes.tau2 != taxes.tau1
-
-
-@settings(max_examples=300, deadline=None)
-@given(solver_instances())
-def test_lazy_search_equals_eager_search(instance):
-    assume(takes_candidate_path(*instance))
-    expected = solver_outcome(eager_equilibrium, instance)
-    assert solver_outcome(taxed_equilibrium, instance) == expected
-
-
-@pytest.mark.parametrize("headroom", [1e-6, 1e-9, 1e-11])
-def test_lazy_search_equals_eager_search_near_saturation(headroom):
-    # The fingerprint's games (optimal or arbitrary taxes, differences up
-    # to 1e8) with demand exactly (1 - headroom) of the combined capacity:
-    # the two searches agree, and neither raises.
-    rng = random.Random(f"near saturation/{headroom}")
-    for k in range(400):
-        instance = solver_instance(rng, (headroom, headroom), TAX_KINDS[k % 2])
-        if takes_candidate_path(*instance):
-            rep = taxed_equilibrium(*instance)
-            assert rep == eager_equilibrium(*instance)
-            assert validates(rep, 1e-9)
 
 
 # The relative error of a reported latency, to first order in
@@ -261,72 +249,26 @@ def test_lazy_search_equals_eager_search_near_saturation(headroom):
 LATENCY_ERROR_K = 4.4
 
 
+def assert_near_exact(instance, latencies):
+    """Each latency lies within the derived rounding bound of the exact
+    equilibrium's, relatively."""
+    net, dem, _, _ = instance
+    c = Decimal(net.c1) + Decimal(net.c2)
+    c_over_s = float(c / (c - Decimal(dem.d_a) - Decimal(dem.d_b)))
+    bound = Decimal(LATENCY_ERROR_K * sys.float_info.epsilon * (c_over_s + 1))
+    for l, exact in zip(latencies, exact_equilibrium(*instance)):
+        assert abs(Decimal(l) - exact) <= bound * exact, (instance, latencies)
+
+
 @pytest.mark.parametrize("kind", TAX_KINDS)
 @pytest.mark.parametrize("band", BANDS, ids=lambda band: "gap=({:g},{:g}]".format(*band))
 def test_latencies_are_within_the_rounding_bound_of_the_exact_answer(band, kind):
     rng = random.Random(f"exact/{band}/{kind}")
     for _ in range(2000):
-        net, dem, sens, taxes = instance = solver_instance(rng, band, kind)
-        c = Decimal(net.c1) + Decimal(net.c2)
-        c_over_s = float(c / (c - Decimal(dem.d_a) - Decimal(dem.d_b)))
-        bound = Decimal(LATENCY_ERROR_K * sys.float_info.epsilon * (c_over_s + 1))
-        got = taxed_equilibrium(*instance).latencies
-        for l, exact in zip(got, exact_equilibrium(*instance)):
-            assert abs(Decimal(l) - exact) <= bound * exact, (instance, got)
-
-
-class TestLazyCandidates:
-    """The solver builds a candidate, and computes the second root, only
-    when every candidate before it has failed; ``built`` counts the
-    candidates built. The objects of the report are built once, at the
-    end. Every case here taxes network 2 more: with tau1 > tau2,
-    ``_candidates`` calls itself with the classes swapped, and the
-    counter would see each candidate twice."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"_solve_gap": 0, "built": 0, "_report": 0, "ClassFlowSplit": 0, "EquilibriumReport": 0}
-        for name in ("_solve_gap", "_report", "ClassFlowSplit", "EquilibriumReport"):
-
-            def counted(*args, _name=name, _original=getattr(equilibrium, name)):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(equilibrium, name, counted)
-
-        def candidates(*args, _original=equilibrium._candidates):
-            for split in _original(*args):
-                calls["built"] += 1
-                yield split
-
-        monkeypatch.setattr(equilibrium, "_candidates", candidates)
-        return calls
-
-    @pytest.mark.parametrize(
-        "dem, taxes, split, roots, builds",
-        [
-            # A splits, B on network 2: the first candidate.
-            (Demand(7, 1), None, (1.3668, 0, 5.6332, 1), 1, 1),
-            # A's root lies beyond d_a, so the first candidate is A on
-            # network 1 and B on network 2; it validates before B's root.
-            (Demand(2, 8), TaxVector(0, 0.12), (2, 0, 0, 8), 1, 1),
-            # A on network 1 fails, B splits: "everything on network 2"
-            # is never built.
-            (Demand(2, 8), None, (2, 0.1191, 0, 7.8809), 2, 2),
-        ],
-    )
-    def test_stops_at_the_first_valid_candidate(self, calls, dem, taxes, split, roots, builds):
-        taxes = taxes or optimal_tax(NET, dem, SENS)
-        rep = taxed_equilibrium(NET, dem, SENS, taxes)
-        assert dataclasses.astuple(rep.split) == pytest.approx(split, abs=1e-4)
-        assert calls == {"_solve_gap": roots, "built": builds, "_report": builds,
-                         "ClassFlowSplit": 1, "EquilibriumReport": 1}
-
-    def test_class_latencies_builds_no_report(self, calls):
-        # The first case above, reached through class_latencies.
-        class_latencies(NET, 8, 7 / 8, SENS)
-        assert calls == {"_solve_gap": 1, "built": 1, "_report": 1,
-                         "ClassFlowSplit": 0, "EquilibriumReport": 0}
+        instance = solver_instance(rng, band, kind)
+        rep = taxed_equilibrium(*instance)
+        assert validates(rep, 1e-9), instance
+        assert_near_exact(instance, rep.latencies)
 
 
 class TestProposition1:

@@ -39,12 +39,12 @@ def test_base_experiment_writes_every_output(tmp_path):
 
 
 def fingerprint_cells(text: str) -> list[str]:
-    """The cell names of fingerprint output, without raise counts."""
+    """The cell names of fingerprint output."""
     cells = []
     for line in text.splitlines():
         name, digest = line.rsplit(" ", 1)
         assert re.fullmatch(r"[0-9a-f]{64}", digest), line
-        cells.append(re.sub(r" raised=\d+$", "", name))
+        cells.append(name)
     return cells
 
 
