@@ -74,7 +74,7 @@ class EquilibriumReport:
     ``residual`` is the largest violation of the equilibrium inequalities
     over all (network, class) pairs carrying more than the tolerance. It
     is reported, not enforced: the solver computes its support. The
-    property test of ``tests/test_equilibrium.py`` shows it within the
+    property tests of ``tests/test_equilibrium.py`` show it within the
     tolerance, scaled by the largest finite latency above 1, over all of
     D < C, with latencies within a derived rounding bound of an exact
     answer.

@@ -120,27 +120,30 @@ class TestAnalyzeCommand:
         assert named in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "c1, c2, demand, alphas, db",
-        [
-            # 1e-10 below the combined capacity of 15.
-            ("4", "11", "14.9999999999", "2,1", "1"),
-            # Large capacities and little demand, where every latency is
-            # below 1 and a wrong corner's cost gap is within 1e-9.
-            ("70862.89840576527", "70922.93827129588", "30.026288804984677",
-             "2.259796666686712,0.23270700139546704", "27.718394691134332"),
-        ],
-        ids=["near-saturation", "large-capacities"],
-    )
-    def test_equilibrium_check_passes_near_saturation(self, capsys, c1, c2, demand, alphas, db):
-        code = cli.main(
-            ["analyze", "--c1", c1, "--c2", c2, "--demand", demand,
-             "--alphas", alphas, "--db", db]
-        )
+    @staticmethod
+    def assert_equilibrium_check_passes(capsys, argv):
+        code = cli.main(["analyze", *argv])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert re.search(r"^equilibrium_check +PASS$", captured.out, re.MULTILINE)
+
+    def test_equilibrium_check_passes_near_saturation(self, capsys):
+        # 1e-10 below the combined capacity of 15.
+        self.assert_equilibrium_check_passes(
+            capsys, ["--c1", "4", "--c2", "11", "--demand", "14.9999999999",
+                     "--alphas", "2,1", "--db", "1"]
+        )
+
+    def test_equilibrium_check_passes_with_large_capacities(self, capsys):
+        # Large capacities and little demand, where every latency is below
+        # 1 and a wrong corner's cost gap is within 1e-9.
+        self.assert_equilibrium_check_passes(
+            capsys, ["--c1", "70862.89840576527", "--c2", "70922.93827129588",
+                     "--demand", "30.026288804984677",
+                     "--alphas", "2.259796666686712,0.23270700139546704",
+                     "--db", "27.718394691134332"]
+        )
 
 
 class TestFig2Command:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from nettax.analytics import (
     optimal_tax,
     wardrop_no_tax,
 )
+from nettax import equilibrium
 from nettax.equilibrium import (
     ClassFlowSplit,
     class_latencies,
@@ -195,29 +197,56 @@ LARGE_GAME = (NetworkPair(70862.89840576527, 70922.93827129588),
 LARGE_GAME += (optimal_tax(*LARGE_GAME),)
 
 
-@settings(max_examples=300, deadline=None)
-@given(solver_instances())
-@example(PRICEY_GAME)
-# Roots within half an ulp of a corner, with network 1 loaded to 1e-9
-# below c1: the splitting class would carry 1e-16 on its lesser network,
-# which rounds to 0, and the corner's own slack misses the root's by 1e-7
-# relative. A splits; B splits with A filling network 1; B splits with
-# everything on network 1.
-@example(corner_root_game(NEAR_C1, 0.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_a))
-@example(corner_root_game(NEAR_C1, 1.0, (4 - NEAR_C1) - 1e-16, SENS.alpha_b))
-@example(corner_root_game(2.0, NEAR_C1 - 2.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_b))
-@example(SMALL_GAME)
-@example(LARGE_GAME)
-# A tax difference of 3e-64: the exact oracle's root must not cancel.
-@example((NetworkPair(1.0, 2.0), Demand(2.0, 0.0), Sensitivities(2.0, 1.0),
-          TaxVector(0.0, 3.0090554726053768e-64)))
-def test_report_validates_and_is_near_the_exact_answer(instance):
+def solver_examples(test):
+    """``test`` on 300 ``solver_instances()`` and the games below."""
+    test = settings(max_examples=300, deadline=None)(given(solver_instances())(test))
+    games = [
+        PRICEY_GAME,
+        # Roots within half an ulp of a corner, with network 1 loaded to
+        # 1e-9 below c1: the splitting class would carry 1e-16 on its
+        # lesser network, which rounds to 0, and the corner's own slack
+        # misses the root's by 1e-7 relative. A splits; B splits with A
+        # filling network 1; B splits with everything on network 1.
+        corner_root_game(NEAR_C1, 0.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_a),
+        corner_root_game(NEAR_C1, 1.0, (4 - NEAR_C1) - 1e-16, SENS.alpha_b),
+        corner_root_game(2.0, NEAR_C1 - 2.0, (4 - NEAR_C1) + 1e-16, SENS.alpha_b),
+        SMALL_GAME,
+        LARGE_GAME,
+        # A tax difference of 3e-64: the exact oracle's root must not cancel.
+        (NetworkPair(1.0, 2.0), Demand(2.0, 0.0), Sensitivities(2.0, 1.0),
+         TaxVector(0.0, 3.0090554726053768e-64)),
+    ]
+    for game in games:
+        test = example(game)(test)
+    return test
+
+
+@solver_examples
+def test_some_candidate_split_validates(instance):
     # Anywhere below capacity the computed support validates at 1e-9,
-    # with the slacks carried from the root, and its latencies are the
-    # exact equilibrium's up to rounding.
-    rep = taxed_equilibrium(*instance)
-    assert validates(rep, 1e-9)
-    assert_near_exact(instance, rep.latencies)
+    # with the slacks carried from the root.
+    assert validates(taxed_equilibrium(*instance), 1e-9)
+
+
+@solver_examples
+def test_lazy_search_equals_eager_search(instance):
+    # The solver computes at most the two roots its support needs; the
+    # exact oracle tries all five supports. Their latencies agree up to
+    # the solver's rounding.
+    assert_near_exact(instance, taxed_equilibrium(*instance).latencies)
+
+
+@pytest.mark.parametrize("headroom", [1e-6, 1e-9, 1e-11])
+def test_lazy_search_equals_eager_search_near_saturation(headroom):
+    # The fingerprint's games (optimal or arbitrary taxes, differences up
+    # to 1e8) with demand exactly (1 - headroom) of the combined capacity:
+    # the report validates, and agrees with the exact oracle's search.
+    rng = random.Random(f"near saturation/{headroom}")
+    for k in range(400):
+        instance = solver_instance(rng, (headroom, headroom), TAX_KINDS[k % 2])
+        rep = taxed_equilibrium(*instance)
+        assert validates(rep, 1e-9), instance
+        assert_near_exact(instance, rep.latencies)
 
 
 def solver_outcome(solve, instance):
@@ -269,6 +298,55 @@ def test_latencies_are_within_the_rounding_bound_of_the_exact_answer(band, kind)
         rep = taxed_equilibrium(*instance)
         assert validates(rep, 1e-9), instance
         assert_near_exact(instance, rep.latencies)
+
+
+class TestLazyCandidates:
+    """The solver computes the root of g = t_Y only when the root of
+    g = t_X puts more than d_X on network 1, and builds the objects of the
+    report once, at the end; ``_report`` runs once per call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_solve_gap": 0, "_report": 0, "ClassFlowSplit": 0, "EquilibriumReport": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(equilibrium, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(equilibrium, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dem, taxes, split, roots",
+        [
+            # A splits, B on network 2.
+            (Demand(7, 1), None, (1.3668, 0, 5.6332, 1), 1),
+            # A's root puts less than 0 on network 1: everything on network 2.
+            (Demand(1, 1), TaxVector(0, 1e-3), (0, 0, 1, 1), 1),
+            # Network 1 taxed more, so B is X, and B splits.
+            (Demand(2, 8), TaxVector(0.12, 0), (0, 1.1331, 2, 6.8669), 1),
+            # A's root lies beyond d_a, B's below 0: A on network 1, B on
+            # network 2.
+            (Demand(2, 8), TaxVector(0, 0.12), (2, 0, 0, 8), 2),
+            # A on network 1, B splits.
+            (Demand(2, 8), None, (2, 0.1191, 0, 7.8809), 2),
+            # B's root lies beyond d_b too: everything on network 1.
+            (Demand(1, 1), TaxVector(0, 100), (1, 1, 0, 0), 2),
+        ],
+    )
+    def test_computes_the_second_root_only_when_needed(self, calls, dem, taxes, split, roots):
+        taxes = taxes or optimal_tax(NET, dem, SENS)
+        rep = taxed_equilibrium(NET, dem, SENS, taxes)
+        assert dataclasses.astuple(rep.split) == pytest.approx(split, abs=1e-4)
+        assert calls == {"_solve_gap": roots, "_report": 1, "ClassFlowSplit": 1,
+                         "EquilibriumReport": 1}
+
+    def test_class_latencies_builds_no_report(self, calls):
+        # The first case above, reached through class_latencies.
+        class_latencies(NET, 8, 7 / 8, SENS)
+        assert calls == {"_solve_gap": 1, "_report": 1, "ClassFlowSplit": 0,
+                         "EquilibriumReport": 0}
 
 
 class TestProposition1:
